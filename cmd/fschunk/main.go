@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/fsmodel"
 	"repro/internal/guard"
 	"repro/internal/kernels"
 	"repro/internal/sweep"
@@ -36,7 +35,6 @@ type config struct {
 	verify   bool
 	jobs     int
 	timeout  time.Duration
-	eval     string
 }
 
 func main() {
@@ -55,12 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&cfg.verify, "verify", false, "cross-check candidates on the machine simulator")
 	fs.IntVar(&cfg.jobs, "j", 0, "worker count for evaluating candidates in parallel (0 = GOMAXPROCS); output is identical for every value")
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "abort the tuning sweep after this long (0 = no limit)")
-	fs.StringVar(&cfg.eval, "eval", "auto", "model evaluation pipeline: auto, compiled or interpreted (identical counts)")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if _, err := fsmodel.EvalModeFromString(cfg.eval); err != nil {
-		fmt.Fprintln(stderr, "fschunk: -eval:", err)
 		return 2
 	}
 
@@ -113,7 +106,7 @@ func tune(ctx context.Context, src string, cfg config, w io.Writer) error {
 	for c := int64(1); c <= cfg.maxChunk; c *= 2 {
 		candidates = append(candidates, c)
 	}
-	opts := repro.Options{Threads: cfg.threads, Jobs: cfg.jobs, Eval: cfg.eval}
+	opts := repro.Options{Threads: cfg.threads, Jobs: cfg.jobs}
 	rec, err := prog.RecommendChunkCtx(ctx, cfg.nest, opts, candidates)
 	if err != nil {
 		return err

@@ -42,8 +42,7 @@ for (i = 0; i < N; i++) a[i] += 1.0;
 		{"missing file", []string{filepath.Join(dir, "nope.c")}, 1, "no such file", ""},
 		{"parse error", []string{bad}, 1, "fsdetect:", ""},
 		{"timeout", []string{"-timeout", "1ns", good}, 1, "context deadline exceeded", ""},
-		{"bad eval mode", []string{"-eval", "fancy", good}, 2, "unknown eval mode", ""},
-		{"interpreted eval", []string{"-eval", "interpreted", good}, 0, "", "false-sharing cases"},
+		{"bad eval mode", []string{"-eval", "fancy", good}, 2, "flag provided but not defined: -eval", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

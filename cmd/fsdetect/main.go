@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/fsmodel"
 	"repro/internal/guard"
 	"repro/internal/kernels"
 	"repro/internal/sweep"
@@ -39,7 +38,6 @@ type config struct {
 	lines     bool
 	jobs      int
 	timeout   time.Duration
-	eval      string
 }
 
 func main() {
@@ -60,12 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&cfg.lines, "lines", false, "also report the hottest cache lines")
 	fs.IntVar(&cfg.jobs, "j", 0, "worker count for analyzing nests in parallel (0 = GOMAXPROCS); output is identical for every value")
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "abort the analysis after this long (0 = no limit)")
-	fs.StringVar(&cfg.eval, "eval", "auto", "model evaluation pipeline: auto, compiled or interpreted (identical counts)")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if _, err := fsmodel.EvalModeFromString(cfg.eval); err != nil {
-		fmt.Fprintln(stderr, "fsdetect: -eval:", err)
 		return 2
 	}
 
@@ -131,7 +124,7 @@ func detectJSON(ctx context.Context, src string, cfg config, w io.Writer) error 
 	if err != nil {
 		return err
 	}
-	opts := repro.Options{Threads: cfg.threads, Chunk: cfg.chunk, MESICounting: cfg.mesi, Eval: cfg.eval}
+	opts := repro.Options{Threads: cfg.threads, Chunk: cfg.chunk, MESICounting: cfg.mesi}
 	reports, err := sweep.Run(ctx, prog.NumNests(), cfg.jobs, func(ctx context.Context, i int) (jsonReport, error) {
 		info, err := prog.Nest(i)
 		if err != nil {
@@ -180,7 +173,7 @@ func detect(ctx context.Context, src string, cfg config, w io.Writer) error {
 	for _, warn := range prog.Warnings() {
 		fmt.Fprintf(w, "warning: %s\n", warn)
 	}
-	opts := repro.Options{Threads: cfg.threads, Chunk: cfg.chunk, MESICounting: cfg.mesi, TrackHotLines: cfg.lines, Eval: cfg.eval}
+	opts := repro.Options{Threads: cfg.threads, Chunk: cfg.chunk, MESICounting: cfg.mesi, TrackHotLines: cfg.lines}
 
 	// Each nest's section renders into its own buffer on the sweep pool;
 	// sections are concatenated in nest order, so the report is identical

@@ -42,18 +42,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	format := fs.String("format", "text", "output format: text, csv or json")
 	jobs := fs.Int("j", 0, "worker count for the experiment sweeps (0 = GOMAXPROCS); output is identical for every value")
 	timeout := fs.Duration("timeout", 0, "abort the experiment sweeps after this long (0 = no limit)")
-	eval := fs.String("eval", "auto", "model evaluation pipeline: auto, compiled or interpreted (identical tables)")
 	extrapolate := fs.Bool("extrapolate", false, "close steady-state chunk runs in O(1) on eligible uniform loops (exact totals)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() != 0 {
 		fmt.Fprintf(stderr, "fsrepro: unexpected arguments %v\n", fs.Args())
-		return 2
-	}
-	evalMode, err := fsmodel.EvalModeFromString(*eval)
-	if err != nil {
-		fmt.Fprintln(stderr, "fsrepro: -eval:", err)
 		return 2
 	}
 
@@ -65,7 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Counting = fsmodel.CountMESI
 	}
 	cfg.Jobs = *jobs
-	cfg.Eval = evalMode
 	cfg.Extrapolate = *extrapolate
 	if *threads != "" {
 		cfg.Threads = nil

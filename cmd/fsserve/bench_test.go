@@ -13,11 +13,10 @@ import (
 	"repro/internal/service"
 )
 
-// benchResult is one (kernel, mode, eval) row of BENCH_service.json.
+// benchResult is one (kernel, mode) row of BENCH_service.json.
 type benchResult struct {
 	Kernel   string  `json:"kernel"`
-	Mode     string  `json:"mode"`           // "cache-miss" or "cache-hit"
-	Eval     string  `json:"eval,omitempty"` // evaluation pipeline on miss rows
+	Mode     string  `json:"mode"` // "cache-miss" or "cache-hit"
 	Requests int     `json:"requests"`
 	ReqPerS  float64 `json:"req_per_s"`
 	P50Ms    float64 `json:"p50_ms"`
@@ -37,14 +36,8 @@ func TestGenerateServiceBench(t *testing.T) {
 	if out == "" {
 		t.Skip("set FSSERVE_BENCH_OUT=path to run the service benchmark")
 	}
-	// One server per evaluation pipeline: cache-miss rows compare the
-	// compiled executor against the interpreter on identical requests;
-	// cache-hit rows are pipeline-independent (bytes from the cache) and
-	// are measured once, on the compiled server.
-	baseCompiled, stopCompiled := startE2E(t, service.Config{EvalMode: "compiled"})
-	defer stopCompiled()
-	baseInterp, stopInterp := startE2E(t, service.Config{EvalMode: "interpreted"})
-	defer stopInterp()
+	base, stop := startE2E(t, service.Config{})
+	defer stop()
 
 	// Distinct sources per kernel: each request varies one dimension a
 	// little, so every analysis stays at paper scale but misses the cache.
@@ -60,27 +53,23 @@ func TestGenerateServiceBench(t *testing.T) {
 	)
 	var results []benchResult
 	speedup := map[string]float64{}
-	evalSpeedup := map[string]float64{}
 	for _, kernel := range kernels.Names() {
 		missBody := func(i int) string {
 			body, _ := json.Marshal(map[string]any{"source": missSource[kernel](i), "threads": 8, "chunk": 1})
 			return string(body)
 		}
-		miss := measure(t, baseCompiled, missN, missBody)
-		miss.Kernel, miss.Mode, miss.Eval = kernel, "cache-miss", "compiled"
-		missI := measure(t, baseInterp, missN, missBody)
-		missI.Kernel, missI.Mode, missI.Eval = kernel, "cache-miss", "interpreted"
+		miss := measure(t, base, missN, missBody)
+		miss.Kernel, miss.Mode = kernel, "cache-miss"
 
 		hitBody := fmt.Sprintf(`{"kernel":%q,"threads":8,"chunk":1}`, kernel)
-		postJSON(t, baseCompiled+"/v1/analyze", hitBody) // warm the cache
-		hit := measure(t, baseCompiled, hitN, func(int) string { return hitBody })
+		postJSON(t, base+"/v1/analyze", hitBody) // warm the cache
+		hit := measure(t, base, hitN, func(int) string { return hitBody })
 		hit.Kernel, hit.Mode = kernel, "cache-hit"
 
-		results = append(results, miss, missI, hit)
+		results = append(results, miss, hit)
 		speedup[kernel] = hit.ReqPerS / miss.ReqPerS
-		evalSpeedup[kernel] = missI.P50Ms / miss.P50Ms
-		t.Logf("%s: miss(compiled) p50 %.1fms p99 %.1fms, miss(interpreted) p50 %.1fms, hit %.0f req/s (p50 %.3fms), hit/miss %.0fx, compiled/interpreted p50 %.2fx",
-			kernel, miss.P50Ms, miss.P99Ms, missI.P50Ms, hit.ReqPerS, hit.P50Ms, speedup[kernel], evalSpeedup[kernel])
+		t.Logf("%s: miss p50 %.1fms p99 %.1fms, hit %.0f req/s (p50 %.3fms), hit/miss %.0fx",
+			kernel, miss.P50Ms, miss.P99Ms, hit.ReqPerS, hit.P50Ms, speedup[kernel])
 		if speedup[kernel] < 10 {
 			t.Errorf("%s: cache-hit throughput only %.1fx cache-miss, want >= 10x", kernel, speedup[kernel])
 		}
@@ -135,18 +124,16 @@ func TestGenerateServiceBench(t *testing.T) {
 			"gomaxprocs": runtime.GOMAXPROCS(0),
 		},
 		"config": map[string]any{
-			"note": "sequential client over loopback HTTP against cmd/fsserve, one server per -eval mode " +
-				"(otherwise default service.Config); cache-miss requests vary one kernel dimension per request " +
-				"so every analysis runs the full model at paper scale; cache-hit repeats one identical request " +
-				"after a warm-up request and is pipeline-independent (served bytes)",
+			"note": "sequential client over loopback HTTP against cmd/fsserve with the default service.Config; " +
+				"cache-miss requests vary one kernel dimension per request so every analysis runs the full model " +
+				"at paper scale; cache-hit repeats one identical request after a warm-up request (served bytes)",
 			"miss_requests": missN,
 			"hit_requests":  hitN,
 			"threads":       8,
 			"chunk":         1,
 		},
-		"results":                       results,
-		"hit_vs_miss_x":                 speedup,
-		"miss_p50_interp_vs_compiled_x": evalSpeedup,
+		"results":       results,
+		"hit_vs_miss_x": speedup,
 		"warm_restart": map[string]any{
 			"note": "second fsserve process on the same -cache-dir after a drain-time snapshot; " +
 				"warm-restart-hit rows above measure steady-state replay, these record the first request per kernel",

@@ -134,7 +134,7 @@ func TestE2EDedup(t *testing.T) {
 	}
 
 	// (c) nonzero request, cache-hit and latency series.
-	if v := scrapeMetric(t, base, `fsserve_eval_seconds_count{endpoint="analyze",mode="compiled"}`); v == 0 {
+	if v := scrapeMetric(t, base, `fsserve_eval_seconds_count{endpoint="analyze"}`); v == 0 {
 		t.Error("eval latency histogram empty")
 	}
 	if v := scrapeMetric(t, base, "fsserve_request_seconds_count"); v == 0 {

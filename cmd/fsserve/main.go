@@ -31,7 +31,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/fsmodel"
 	"repro/internal/service"
 )
 
@@ -64,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		brkCool   = fs.Duration("breaker-cooldown", 0, "how long an open circuit waits before probing (0 = default)")
 		seed      = fs.Int64("seed", 0, "seed for Retry-After jitter and breaker probes (0 = default)")
 
-		evalMode    = fs.String("eval", "auto", "model evaluation pipeline: auto, compiled or interpreted (part of the cache key)")
 		extrapolate = fs.Bool("extrapolate", false, "close steady-state chunk runs in O(1) on eligible uniform loops (exact totals)")
 		pprofFlag   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
@@ -79,10 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() != 0 {
 		fmt.Fprintf(stderr, "fsserve: unexpected arguments %v\n", fs.Args())
-		return 2
-	}
-	if _, err := fsmodel.EvalModeFromString(*evalMode); err != nil {
-		fmt.Fprintf(stderr, "fsserve: -eval: %v\n", err)
 		return 2
 	}
 	var clusterCfg *service.ClusterConfig
@@ -142,7 +136,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		BreakerThreshold:  *brkThresh,
 		BreakerCooldown:   *brkCool,
 		Seed:              *seed,
-		EvalMode:          *evalMode,
 		Extrapolate:       *extrapolate,
 		EnablePprof:       *pprofFlag,
 	}, *grace); err != nil {

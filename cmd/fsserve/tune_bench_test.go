@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fsmodel"
 	"repro/internal/kernels"
 	"repro/internal/service"
 	"repro/internal/tuner"
@@ -44,10 +43,7 @@ func TestGenerateTuneBench(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < tuneRuns; i++ {
-			res, err := tuner.Tune(context.Background(), string(src), tuner.Options{
-				Eval: fsmodel.EvalCompiled,
-				Jobs: 1,
-			})
+			res, err := tuner.Tune(context.Background(), string(src), tuner.Options{Jobs: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +68,7 @@ func TestGenerateTuneBench(t *testing.T) {
 
 	// Service throughput: distinct heat geometries miss the cache and run
 	// the full search; one repeated request replays the cached bytes.
-	base, stop := startE2E(t, service.Config{EvalMode: "compiled"})
+	base, stop := startE2E(t, service.Config{})
 	defer stop()
 	const (
 		missN = 12
@@ -82,7 +78,7 @@ func TestGenerateTuneBench(t *testing.T) {
 		body, _ := json.Marshal(map[string]any{"source": kernels.HeatSource(16, int64(512+64*i)), "threads": 8})
 		return string(body)
 	})
-	miss.Kernel, miss.Mode, miss.Eval = "heat", "cache-miss", "compiled"
+	miss.Kernel, miss.Mode = "heat", "cache-miss"
 	hitBody := `{"kernel":"heat","threads":8}`
 	postJSON(t, base+"/v1/tune", hitBody) // warm the cache
 	hit := measureTune(t, base, hitN, func(int) string { return hitBody })

@@ -18,7 +18,6 @@ import (
 	"os"
 
 	"repro"
-	"repro/internal/fsmodel"
 	"repro/internal/guard"
 	"repro/internal/kernels"
 )
@@ -28,7 +27,6 @@ type config struct {
 	chunk   int64
 	nest    int
 	compare int64
-	eval    string
 }
 
 func main() {
@@ -45,12 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	kernel := fs.String("kernel", "", "simulate a built-in kernel (heat, dft, linreg)")
 	fs.IntVar(&cfg.nest, "nest", 0, "loop nest index to simulate")
 	fs.Int64Var(&cfg.compare, "compare", 0, "also simulate this chunk size and report the FS effect")
-	fs.StringVar(&cfg.eval, "eval", "auto", "model evaluation pipeline: auto, compiled or interpreted (the machine simulator itself has one pipeline; this selects the pipeline for any model evaluations)")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if _, err := fsmodel.EvalModeFromString(cfg.eval); err != nil {
-		fmt.Fprintln(stderr, "fssim: -eval:", err)
 		return 2
 	}
 
@@ -92,7 +85,7 @@ func simulate(src string, cfg config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opts := repro.Options{Threads: cfg.threads, Chunk: cfg.chunk, Eval: cfg.eval}
+	opts := repro.Options{Threads: cfg.threads, Chunk: cfg.chunk}
 	rep, err := prog.Simulate(cfg.nest, opts)
 	if err != nil {
 		return err

@@ -32,7 +32,6 @@ func TestUsageErrors(t *testing.T) {
 		{},                             // no input
 		{"-kernel", "heat", "extra.c"}, // kernel and file
 		{"-format", "sarif", "x.c"},    // bad format
-		{"-eval", "hardware", "x.c"},   // bad eval mode
 		{"-machine", "cray1", "x.c"},   // bad machine
 		{"a.c", "b.c"},                 // multiple files
 		{"-nest", "7", heatPath(t)},    // nest out of range -> InputError

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	fstune [-threads N] [-chunk C] [-machine M] [-nest I] [-beam B]
-//	       [-eval auto|compiled|interpreted] [-format text|json]
+//	       [-format text|json]
 //	       [-o out.c] [-timeout D] file.c
 //	fstune -kernel heat            # tune a built-in paper kernel
 //
@@ -25,7 +25,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/fsmodel"
 	"repro/internal/guard"
 	"repro/internal/kernels"
 	"repro/internal/machine"
@@ -40,7 +39,6 @@ type config struct {
 	beam    int
 	maxCand int
 	jobs    int
-	eval    string
 	format  string
 	out     string
 	timeout time.Duration
@@ -64,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.beam, "beam", 0, "beam width: fast-tier candidates promoted to simulator verification (0: default 4)")
 	fs.IntVar(&cfg.maxCand, "max-candidates", 0, "cap on enumerated plans (0: default 32)")
 	fs.IntVar(&cfg.jobs, "jobs", 0, "verification parallelism (0: GOMAXPROCS)")
-	fs.StringVar(&cfg.eval, "eval", "compiled", "simulator evaluation mode: auto, compiled, or interpreted")
 	fs.StringVar(&cfg.format, "format", "text", "output format: text or json")
 	fs.StringVar(&cfg.out, "o", "", "write the transformed source to this file instead of stdout")
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "overall tuning deadline (0: none)")
@@ -77,11 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "text", "json":
 	default:
 		fmt.Fprintf(stderr, "fstune: unknown -format %q (valid: text, json)\n", cfg.format)
-		return 2
-	}
-	eval, err := fsmodel.EvalModeFromString(cfg.eval)
-	if err != nil {
-		fmt.Fprintln(stderr, "fstune: invalid -eval:", err)
 		return 2
 	}
 	if (cfg.kernel == "") == (len(fs.Args()) == 0) {
@@ -120,7 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Beam:          cfg.beam,
 			MaxCandidates: cfg.maxCand,
 			Jobs:          cfg.jobs,
-			Eval:          eval,
 			Extrapolate:   cfg.extrap,
 			KeepHeader:    true,
 		})
@@ -191,8 +182,8 @@ func writeReport(w io.Writer, cfg config, name string, res *tuner.Result) error 
 	}
 	fmt.Fprintf(w, "%s: nest %d on %s, %d threads, baseline chunk %d\n",
 		name, res.Nest, res.Machine, res.Threads, res.BaselineChunk)
-	fmt.Fprintf(w, "  baseline: FS %d, %.0f cycles (simulated, %s)\n",
-		res.Baseline.SimulatedFS, res.Baseline.SimulatedCycles, res.EvalMode)
+	fmt.Fprintf(w, "  baseline: FS %d, %.0f cycles (simulated)\n",
+		res.Baseline.SimulatedFS, res.Baseline.SimulatedCycles)
 	if res.NoOp {
 		fmt.Fprintf(w, "  plan: no-op\n")
 	} else {

@@ -71,8 +71,8 @@ type Plan struct {
 }
 
 // Compile lowers the nest against the plan. It fails on non-power-of-two
-// line sizes and on anything trace.NewGenerator would reject; callers
-// treat failure as "use the interpreted path".
+// line sizes and on anything trace.NewGenerator would reject; fsmodel
+// reports such a failure as an analysis error.
 func Compile(nest *loopir.Nest, plan sched.Plan, lineSize int64) (*Plan, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err

@@ -36,10 +36,6 @@ type Config struct {
 	// Counting selects the FS-detection semantics for the model.
 	Counting fsmodel.CountingMode
 
-	// Eval selects the model's evaluation pipeline (the -eval flag);
-	// every pipeline produces identical numbers in every table/figure.
-	Eval fsmodel.EvalMode
-
 	// Extrapolate lets eligible uniform loops close their chunk-run
 	// tails arithmetically once provably periodic (exactness is gated by
 	// the fsmodel differential suite). Experiment outputs are unchanged.

@@ -57,7 +57,7 @@ func Fig2ChunkSweep(cfg Config, threads int, chunks []int64) (*ChunkSweepResult,
 		}
 		fs, err := fsmodel.Analyze(kern.Nest, fsmodel.Options{
 			Machine: cfg.Machine, NumThreads: threads, Chunk: chunk, Counting: cfg.Counting,
-			Eval: cfg.Eval, Extrapolate: cfg.Extrapolate,
+			Extrapolate: cfg.Extrapolate,
 		})
 		if err != nil {
 			return ChunkSweepPoint{}, err
@@ -123,7 +123,6 @@ func Fig6Linearity(cfg Config, kernel string, threads int, maxRuns int64) (*Line
 		opts := fsmodel.Options{
 			Machine: cfg.Machine, NumThreads: threads, Chunk: chunk,
 			Counting: cfg.Counting, RecordPerRun: true, MaxChunkRuns: maxRuns,
-			Eval: cfg.Eval,
 		}
 		r, err := fsmodel.Analyze(kern.Nest, opts)
 		if err != nil {

@@ -67,7 +67,7 @@ func LineSizeSweep(cfg Config, threads int, chunk int64, lineSizes []int64) (*Li
 		}
 		fs, err := fsmodel.Analyze(kern.Nest, fsmodel.Options{
 			Machine: m, NumThreads: threads, Chunk: chunk, Counting: cfg.Counting,
-			Eval: cfg.Eval, Extrapolate: cfg.Extrapolate,
+			Extrapolate: cfg.Extrapolate,
 		})
 		if err != nil {
 			return LineSizePoint{}, err

@@ -64,7 +64,7 @@ func ModelingCost(cfg Config, threads int, chunkRuns int64, sizes [][2]int64) (*
 			return ModelCostPoint{}, err
 		}
 		opts := fsmodel.Options{Machine: cfg.Machine, NumThreads: threads, Chunk: 1, Counting: cfg.Counting,
-			Eval: cfg.Eval, Extrapolate: cfg.Extrapolate}
+			Extrapolate: cfg.Extrapolate}
 
 		start := time.Now()
 		full, err := fsmodel.Analyze(kern.Nest, opts)

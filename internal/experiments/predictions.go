@@ -68,9 +68,9 @@ func PredictionTable(cfg Config, kernel string) (*PredictionTableResult, error) 
 		row := PredictionRow{Threads: threads}
 
 		fsOpts := fsmodel.Options{Machine: cfg.Machine, NumThreads: threads, Chunk: kc.fsChunk, Counting: cfg.Counting,
-			Eval: cfg.Eval, Extrapolate: cfg.Extrapolate}
+			Extrapolate: cfg.Extrapolate}
 		nfsOpts := fsmodel.Options{Machine: cfg.Machine, NumThreads: threads, Chunk: kc.nfsChunk, Counting: cfg.Counting,
-			Eval: cfg.Eval, Extrapolate: cfg.Extrapolate}
+			Extrapolate: cfg.Extrapolate}
 
 		fsFull, err := fsmodel.Analyze(kern.Nest, fsOpts)
 		if err != nil {

@@ -96,14 +96,14 @@ func tableRow(cfg Config, kc kernelCase, threads int) (MeasuredRow, sched.Plan, 
 
 	fsRes, err := fsmodel.Analyze(kern.Nest, fsmodel.Options{
 		Machine: cfg.Machine, NumThreads: threads, Chunk: kc.fsChunk, Counting: cfg.Counting,
-		Eval: cfg.Eval, Extrapolate: cfg.Extrapolate,
+		Extrapolate: cfg.Extrapolate,
 	})
 	if err != nil {
 		return row, sched.Plan{}, nil, err
 	}
 	nfsRes, err := fsmodel.Analyze(kern.Nest, fsmodel.Options{
 		Machine: cfg.Machine, NumThreads: threads, Chunk: kc.nfsChunk, Counting: cfg.Counting,
-		Eval: cfg.Eval, Extrapolate: cfg.Extrapolate,
+		Extrapolate: cfg.Extrapolate,
 	})
 	if err != nil {
 		return row, sched.Plan{}, nil, err

@@ -5,43 +5,40 @@ import (
 
 	"repro/internal/guard"
 	"repro/internal/kernels"
+	"repro/internal/loopir"
 	"repro/internal/machine"
 )
 
-// BenchmarkAnalyzeHotPath compares the evaluation pipelines on the
-// heat-diffusion kernel at paper-scale trip counts, the FS-inducing
-// chunk, and the paper's 48-thread team: the compiled access-run executor
-// (the default) against the per-iteration interpreter, both on the dense
-// backend, plus the map backend as the PR-1 baseline data structure.
-// allocs/op on the dense paths is the per-run setup only — the per-access
-// path allocates nothing.
+// BenchmarkAnalyzeHotPath measures the model on the heat-diffusion
+// kernel at paper-scale trip counts, the FS-inducing chunk, and the
+// paper's 48-thread team: Analyze on the dense state (the production
+// path for this input), Analyze pinned to the map state, and the
+// per-iteration reference oracle for comparison. allocs/op on the dense
+// path is the per-run setup only — the per-access path allocates nothing.
 func BenchmarkAnalyzeHotPath(b *testing.B) {
 	kern, err := kernels.Heat(kernels.DefaultHeatRows, kernels.DefaultHeatCols)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, bc := range []struct {
-		name    string
-		backend StateBackend
-		eval    EvalMode
+		name     string
+		forceMap bool
+		eval     func(*loopir.Nest, Options) (*Result, error)
 	}{
-		// "dense" keeps the PR-1 series name: the default pipeline on the
-		// dense backend, which now resolves to the compiled executor.
-		{"dense", BackendDense, EvalAuto},
-		{"compiled", BackendDense, EvalCompiled},
-		{"interpreted", BackendDense, EvalInterpreted},
-		{"map", BackendMap, EvalInterpreted},
+		{"compiled", false, Analyze},
+		{"map", true, Analyze},
+		{"oracle", false, analyzeOracle},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			opts := Options{
 				Machine: machine.Paper48(), NumThreads: 48, Chunk: kernels.HeatFSChunk,
-				Backend: bc.backend, Eval: bc.eval,
+				forceMap: bc.forceMap,
 			}
 			var accesses int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := Analyze(kern.Nest, opts)
+				res, err := bc.eval(kern.Nest, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -93,7 +90,7 @@ func BenchmarkAnalyzeSteadyState(b *testing.B) {
 
 // BenchmarkAnalyzeBudgetOverhead measures the cost of the amortized
 // budget check on the paper-scale hot path: the same workload as
-// BenchmarkAnalyzeHotPath/dense, once with no budget (the single
+// BenchmarkAnalyzeHotPath/compiled, once with no budget (the single
 // r.budgeted branch per access) and once with generous limits that
 // never trip (branch plus a guard.Budget.Check every budgetCheckEvery
 // accesses). The acceptance bar is <2% slowdown versus off.
@@ -112,7 +109,7 @@ func BenchmarkAnalyzeBudgetOverhead(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			opts := Options{
 				Machine: machine.Paper48(), NumThreads: 48, Chunk: kernels.HeatFSChunk,
-				Backend: BackendDense, Budget: bc.budget,
+				Budget: bc.budget,
 			}
 			var accesses int64
 			b.ReportAllocs()
@@ -136,16 +133,16 @@ func BenchmarkAnalyzeHotPathMESI(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, bc := range []struct {
-		name    string
-		backend StateBackend
+		name     string
+		forceMap bool
 	}{
-		{"dense", BackendDense},
-		{"map", BackendMap},
+		{"dense", false},
+		{"map", true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			opts := Options{
 				Machine: machine.Paper48(), NumThreads: 16, Chunk: kernels.DFTFSChunk,
-				Counting: CountMESI, Backend: bc.backend,
+				Counting: CountMESI, forceMap: bc.forceMap,
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -55,11 +55,11 @@ func TestBudgetMaxStepsStopsDeterministically(t *testing.T) {
 
 // TestBudgetDoesNotPerturbResults pins the contract that a budget which
 // never trips changes nothing: FS counts and every other field match the
-// unbudgeted run exactly, on both backends.
+// unbudgeted run exactly, on both state representations.
 func TestBudgetDoesNotPerturbResults(t *testing.T) {
 	kern, opts := heatOpts(t)
-	for _, backend := range []StateBackend{BackendDense, BackendMap} {
-		opts.Backend = backend
+	for _, backend := range []string{"dense", "map"} {
+		opts.forceMap = backend == "map"
 		base, err := Analyze(kern.Nest, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -91,13 +91,6 @@ func TestBudgetStateBytesFallsBackThenTrips(t *testing.T) {
 	if !errors.As(err, &be) || be.Resource != "state-bytes" {
 		t.Fatalf("err = %v, want *guard.BudgetError{state-bytes}", err)
 	}
-
-	// Forcing the dense backend under the same budget must refuse
-	// upfront rather than allocate over it.
-	opts.Backend = BackendDense
-	if _, err := Analyze(kern.Nest, opts); !errors.Is(err, guard.ErrBudgetExceeded) {
-		t.Fatalf("forced dense under tiny state budget = %v, want budget exceeded", err)
-	}
 }
 
 func TestBudgetGenerousStateBytesKeepsDense(t *testing.T) {
@@ -107,8 +100,8 @@ func TestBudgetGenerousStateBytesKeepsDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Backend != BackendDense {
-		t.Fatalf("generous state budget demoted the backend to %v", res.Backend)
+	if !res.dense {
+		t.Fatal("generous state budget demoted the run to the map state")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // TestPerRunMonotoneMultiInstance checks PerRun is a cumulative (monotone
 // nondecreasing) series covering every chunk run of a multi-instance nest
 // (heat: the sequential row loop re-runs the parallel column loop per row,
-// so ParLevel > 0), on both backends.
+// so ParLevel > 0), on both state representations.
 func TestPerRunMonotoneMultiInstance(t *testing.T) {
 	kern, err := kernels.Heat(10, 512)
 	if err != nil {
@@ -19,10 +19,10 @@ func TestPerRunMonotoneMultiInstance(t *testing.T) {
 	if kern.Nest.ParLevel <= 0 {
 		t.Fatalf("heat ParLevel = %d, want > 0", kern.Nest.ParLevel)
 	}
-	for _, backend := range []StateBackend{BackendDense, BackendMap} {
+	for _, backend := range []string{"dense", "map"} {
 		res, err := Analyze(kern.Nest, Options{
 			Machine: machine.Paper48(), NumThreads: 4, Chunk: 1,
-			RecordPerRun: true, Backend: backend,
+			RecordPerRun: true, forceMap: backend == "map",
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", backend, err)
@@ -65,11 +65,11 @@ func TestMaxChunkRunsTruncation(t *testing.T) {
 		t.Fatalf("test wants >= 8 chunk runs, total = %d", full.ChunkRunsTotal)
 	}
 
-	for _, backend := range []StateBackend{BackendDense, BackendMap} {
+	for _, backend := range []string{"dense", "map"} {
 		// Truncation strictly inside the run, crossing instance borders.
 		for _, maxRuns := range []int64{1, 3, full.ChunkRunsTotal / 2, full.ChunkRunsTotal - 1} {
 			opts := base
-			opts.Backend = backend
+			opts.forceMap = backend == "map"
 			opts.MaxChunkRuns = maxRuns
 			res, err := Analyze(kern.Nest, opts)
 			if err != nil {
@@ -93,7 +93,7 @@ func TestMaxChunkRunsTruncation(t *testing.T) {
 		// MaxChunkRuns at or above the total must not truncate.
 		for _, maxRuns := range []int64{full.ChunkRunsTotal, full.ChunkRunsTotal + 5} {
 			opts := base
-			opts.Backend = backend
+			opts.forceMap = backend == "map"
 			opts.MaxChunkRuns = maxRuns
 			res, err := Analyze(kern.Nest, opts)
 			if err != nil {

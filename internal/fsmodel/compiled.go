@@ -8,16 +8,17 @@ import (
 	"repro/internal/cache"
 )
 
-// This file is the compiled evaluation pipeline: the block-structured
-// executor over internal/accessplan plans, the transposed lazy-stamp LRU
-// state that replaces the pointer-chasing FlatLRU on the hot path, and
-// the quiet-segment run batching that advances the whole team several
-// lockstep steps at once when no coherence state can change. Every piece
-// is bit-identical to the interpreted path (see compiled_test.go).
+// This file is the model's executor: the block-structured enumeration
+// over internal/accessplan plans, the transposed lazy-stamp LRU state of
+// the dense representation, and the quiet-segment run batching that
+// advances the whole team several lockstep steps at once when no
+// coherence state can change. Every piece is bit-identical to the
+// per-iteration reference interpreter kept as a test oracle (see
+// oracle_test.go).
 
-// lazyState is the compiled dense backend's per-thread cache state. It
-// replaces FlatLRU's doubly linked list (three scattered writes per
-// touch) with a timestamp scheme: residency is a per-(thread,line) stamp
+// lazyState is the dense representation's per-thread cache state. It
+// avoids a doubly linked LRU list (three scattered writes per touch)
+// with a timestamp scheme: residency is a per-(thread,line) stamp
 // — each thread owns a contiguous span-sized region, so a thread walking
 // nearby lines stays within a few hardware cache lines — and LRU order
 // is an append-only per-thread ring of (line, stamp) records in one flat
@@ -61,8 +62,8 @@ func newLazyState(span int64, threads, stackDepth int) *lazyState {
 		stamp:      make([]int32, spanStride*int64(threads)),
 	}
 	adviseHuge(unsafe.Pointer(&s.stamp[0]), uintptr(len(s.stamp))*4)
-	// Mirror FlatLRU: a non-positive or span-covering capacity never
-	// evicts, so no recency bookkeeping is needed at all.
+	// A non-positive or span-covering capacity never evicts, so no
+	// recency bookkeeping is needed at all.
 	if stackDepth > 0 && int64(stackDepth) < span {
 		s.cap = int32(stackDepth)
 		s.clock = make([]int32, threads)
@@ -105,75 +106,6 @@ func (s *lazyState) compact(t int) {
 	s.clock[t] = m
 }
 
-// touch is the interpreted-twin entry point used by the slow paths
-// (negative-address windows never occur, but accessMap parity tests do);
-// the hot loop in accessLazy inlines this logic.
-func (s *lazyState) touch(t int, idx int64, write bool) cache.TouchResult {
-	var res cache.TouchResult
-	p := int64(t)*s.spanStride + idx
-	sp := s.stamp[p]
-	var mod int32
-	if write {
-		mod = lazyMod
-	}
-	if s.cap == 0 {
-		if sp != 0 {
-			res.Hit = true
-			res.WasModified = sp&lazyMod != 0
-			s.stamp[p] = sp | mod
-			return res
-		}
-		s.stamp[p] = 1 | mod
-		return res
-	}
-	if sp != 0 {
-		res.Hit = true
-		res.WasModified = sp&lazyMod != 0
-		s.bump(t, idx, p, sp&lazyMod|mod)
-		return res
-	}
-	if s.live[t] >= s.cap {
-		v := s.evict(t)
-		vp := int64(t)*s.spanStride + v
-		res.Evicted = true
-		res.EvictedLine = v
-		res.EvictedDirty = s.stamp[vp]&lazyMod != 0
-		s.stamp[vp] = 0
-		s.live[t]--
-	}
-	s.live[t]++
-	s.bump(t, idx, p, mod)
-	return res
-}
-
-// bump stamps idx as thread t's most recently used line, carrying mod.
-func (s *lazyState) bump(t int, idx, p int64, mod int32) {
-	if s.tail[t] == int64(t+1)*s.ringLen {
-		s.compact(t)
-	}
-	s.clock[t]++
-	c := s.clock[t] | mod
-	s.stamp[p] = c
-	s.ring[s.tail[t]] = uint64(idx)<<32 | uint64(uint32(c))
-	s.tail[t]++
-}
-
-// evict pops the true LRU resident line of thread t off the ring.
-func (s *lazyState) evict(t int) int64 {
-	sbase := int64(t) * s.spanStride
-	h := s.head[t]
-	for {
-		e := s.ring[h]
-		h++
-		idx := int64(e >> 32)
-		sp := s.stamp[sbase+idx]
-		if sp != 0 && sp&^lazyMod == int32(uint32(e))&^lazyMod {
-			s.head[t] = h
-			return idx
-		}
-	}
-}
-
 func (s *lazyState) downgrade(t int, idx int64) {
 	p := int64(t)*s.spanStride + idx
 	if s.stamp[p] != 0 {
@@ -192,11 +124,11 @@ func (s *lazyState) invalidate(t int, idx int64) {
 	}
 }
 
-// accessLazy is accessDense's twin over the lazy state; same directory,
-// same counting, same eviction bookkeeping, same silent-mutation count.
-// The lazyState touch/bump/evict logic is hand-inlined: this is the hot
-// path of the whole model, and the call plus TouchResult traffic costs
-// more than the state update itself.
+// accessLazy is accessMap's twin over the dense directory and the lazy
+// state; same counting, same eviction bookkeeping, same silent-mutation
+// count. The stamp/ring update is written inline: this is the hot path
+// of the whole model, and a call plus TouchResult traffic costs more
+// than the state update itself.
 func (r *run) accessLazy(t int, line int64, write bool, refIdx int) bool {
 	idx := line - r.base
 	if idx < 0 || idx >= int64(len(r.ddir)) {
@@ -456,11 +388,12 @@ func (r *run) batchWindow(ts []cthread, batchAcc []int64) int64 {
 	return L
 }
 
-// executeCompiled is the compiled twin of execute: the same lockstep
-// team enumeration, driven by precomputed access-run blocks instead of
-// per-iteration affine evaluation, with same-line coalescing and
+// executeCompiled drives the lockstep enumeration of the thread team:
+// each thread walks precomputed access-run blocks instead of evaluating
+// affine subscripts per iteration, with same-line coalescing and
 // quiet-segment batching layered on top. Counters, attribution, budget
-// aborts and chunk-run bookkeeping are bit-identical to execute's.
+// aborts and chunk-run bookkeeping are bit-identical to the reference
+// interpreter's (oracle_test.go).
 func (r *run) executeCompiled() (*Result, error) {
 	res := r.res
 	ap := r.ap

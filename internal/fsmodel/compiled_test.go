@@ -32,61 +32,54 @@ func machineWithLine(t *testing.T, line int64) *machine.Desc {
 }
 
 // requireSameEval compares every externally observable field of an
-// interpreted and a compiled run except the Eval tag itself (and the
-// extrapolation echo fields, which only the compiled path can set).
-func requireSameEval(t *testing.T, label string, interp, comp *Result) {
+// oracle run and a production run (except the extrapolation echo fields,
+// which only the production executor can set).
+func requireSameEval(t *testing.T, label string, oracle, comp *Result) {
 	t.Helper()
-	if interp.Eval != EvalInterpreted {
-		t.Fatalf("%s: interpreted run reports eval %v", label, interp.Eval)
-	}
-	if comp.Eval != EvalCompiled {
-		t.Fatalf("%s: compiled run reports eval %v", label, comp.Eval)
-	}
 	type counters struct {
 		FSCases, Invalidations, Iterations, Steps, Accesses int64
 		ColdMisses, CapacityEvictions                       int64
 		ChunkRunsEvaluated, ChunkRunsTotal                  int64
 		Truncated                                           bool
 	}
-	i := counters{interp.FSCases, interp.Invalidations, interp.Iterations, interp.Steps, interp.Accesses,
-		interp.ColdMisses, interp.CapacityEvictions, interp.ChunkRunsEvaluated, interp.ChunkRunsTotal, interp.Truncated}
+	i := counters{oracle.FSCases, oracle.Invalidations, oracle.Iterations, oracle.Steps, oracle.Accesses,
+		oracle.ColdMisses, oracle.CapacityEvictions, oracle.ChunkRunsEvaluated, oracle.ChunkRunsTotal, oracle.Truncated}
 	c := counters{comp.FSCases, comp.Invalidations, comp.Iterations, comp.Steps, comp.Accesses,
 		comp.ColdMisses, comp.CapacityEvictions, comp.ChunkRunsEvaluated, comp.ChunkRunsTotal, comp.Truncated}
 	if i != c {
-		t.Fatalf("%s: counters differ:\ninterpreted: %+v\ncompiled:    %+v", label, i, c)
+		t.Fatalf("%s: counters differ:\noracle:   %+v\ncompiled: %+v", label, i, c)
 	}
-	if !reflect.DeepEqual(interp.PerRun, comp.PerRun) {
-		t.Fatalf("%s: PerRun differs:\ninterpreted: %v\ncompiled:    %v", label, interp.PerRun, comp.PerRun)
+	if !reflect.DeepEqual(oracle.PerRun, comp.PerRun) {
+		t.Fatalf("%s: PerRun differs:\noracle:   %v\ncompiled: %v", label, oracle.PerRun, comp.PerRun)
 	}
-	if !reflect.DeepEqual(interp.ByRef, comp.ByRef) {
-		t.Fatalf("%s: ByRef differs:\ninterpreted: %+v\ncompiled:    %+v", label, interp.ByRef, comp.ByRef)
+	if !reflect.DeepEqual(oracle.ByRef, comp.ByRef) {
+		t.Fatalf("%s: ByRef differs:\noracle:   %+v\ncompiled: %+v", label, oracle.ByRef, comp.ByRef)
 	}
-	if !reflect.DeepEqual(interp.hotLines, comp.hotLines) {
-		t.Fatalf("%s: hot lines differ:\ninterpreted: %v\ncompiled:    %v", label, interp.hotLines, comp.hotLines)
+	if !reflect.DeepEqual(oracle.hotLines, comp.hotLines) {
+		t.Fatalf("%s: hot lines differ:\noracle:   %v\ncompiled: %v", label, oracle.hotLines, comp.hotLines)
 	}
 }
 
-// analyzeBothEvals runs the same options once under each forced evaluator.
+// analyzeBothEvals runs the same options through the reference oracle and
+// through Analyze.
 func analyzeBothEvals(t *testing.T, label string, nest *loopir.Nest, opts Options) (*Result, *Result) {
 	t.Helper()
-	opts.Eval = EvalInterpreted
-	interp, err := Analyze(nest, opts)
+	oracle, err := analyzeOracle(nest, opts)
 	if err != nil {
-		t.Fatalf("%s interpreted: %v", label, err)
+		t.Fatalf("%s oracle: %v", label, err)
 	}
-	opts.Eval = EvalCompiled
 	comp, err := Analyze(nest, opts)
 	if err != nil {
 		t.Fatalf("%s compiled: %v", label, err)
 	}
-	return interp, comp
+	return oracle, comp
 }
 
 // TestCompiledMatchesInterpretedKernels is the tentpole's golden gate: on
 // every paper kernel, at chunks {1, 2, 8, L/8} and line sizes {64, 128},
 // under both counting modes, with per-run recording and hot-line tracking
-// on, the compiled access-run executor and the per-iteration interpreter
-// produce identical results in every field.
+// on, the compiled access-run executor and the per-iteration reference
+// oracle produce identical results in every field.
 func TestCompiledMatchesInterpretedKernels(t *testing.T) {
 	nests := goldenKernels(t)
 	for _, line := range []int64{64, 128} {
@@ -112,17 +105,18 @@ func TestCompiledMatchesInterpretedKernels(t *testing.T) {
 }
 
 // TestCompiledMatchesInterpretedSmallStack repeats the cross-check where
-// capacity evictions dominate, on both state backends: the compiled
-// executor must drive the map directory exactly like the dense one.
+// capacity evictions dominate, on both state representations: the
+// compiled executor must drive the map directory exactly like the dense
+// one.
 func TestCompiledMatchesInterpretedSmallStack(t *testing.T) {
 	nests := goldenKernels(t)
 	for name, nest := range nests {
 		for _, depth := range []int{1, 2, 7} {
-			for _, backend := range []StateBackend{BackendDense, BackendMap} {
-				label := fmt.Sprintf("%s depth=%d backend=%v", name, depth, backend)
+			for _, forceMap := range []bool{false, true} {
+				label := fmt.Sprintf("%s depth=%d map=%t", name, depth, forceMap)
 				opts := Options{
 					Machine: machine.Paper48(), NumThreads: 4, Chunk: 1,
-					StackDepth: depth, Counting: CountMESI, Backend: backend,
+					StackDepth: depth, Counting: CountMESI, forceMap: forceMap,
 					RecordPerRun: true, TrackHotLines: true,
 				}
 				interp, comp := analyzeBothEvals(t, label, nest, opts)
@@ -167,33 +161,28 @@ func corpusNests(t *testing.T) map[string]*loopir.Nest {
 }
 
 // TestCompiledMatchesInterpretedCorpus runs the differential gate over
-// every nest in the repository's source corpus. Nests the interpreter
-// rejects (symbolic bounds, no parallel loop) must be rejected by the
-// auto path identically; every nest it accepts must produce identical
-// counters compiled.
+// every nest in the repository's source corpus. Nests the oracle rejects
+// (symbolic bounds, no parallel loop) must be rejected by Analyze
+// identically; every nest it accepts must produce identical counters
+// compiled.
 func TestCompiledMatchesInterpretedCorpus(t *testing.T) {
 	for _, chunk := range []int64{1, 8} {
 		for label, nest := range corpusNests(t) {
 			opts := Options{Machine: machine.Paper48(), NumThreads: 8, Chunk: chunk,
 				Counting: CountMESI, RecordPerRun: true}
-			opts.Eval = EvalInterpreted
-			interp, ierr := Analyze(nest, opts)
-			opts.Eval = EvalAuto
+			interp, ierr := analyzeOracle(nest, opts)
 			auto, aerr := Analyze(nest, opts)
 			if (ierr == nil) != (aerr == nil) {
-				t.Fatalf("%s chunk=%d: interpreted err=%v, auto err=%v", label, chunk, ierr, aerr)
+				t.Fatalf("%s chunk=%d: oracle err=%v, compiled err=%v", label, chunk, ierr, aerr)
 			}
 			if ierr != nil {
 				continue
-			}
-			if auto.Eval != EvalCompiled {
-				t.Errorf("%s chunk=%d: auto resolved to %v, want compiled", label, chunk, auto.Eval)
 			}
 			if interp.FSCases != auto.FSCases || interp.Accesses != auto.Accesses ||
 				interp.Iterations != auto.Iterations || interp.Steps != auto.Steps ||
 				interp.ColdMisses != auto.ColdMisses || interp.CapacityEvictions != auto.CapacityEvictions ||
 				interp.Invalidations != auto.Invalidations {
-				t.Fatalf("%s chunk=%d: counters differ:\ninterpreted: %+v\nauto:        %+v",
+				t.Fatalf("%s chunk=%d: counters differ:\noracle:   %+v\ncompiled: %+v",
 					label, chunk, interp, auto)
 			}
 			if !reflect.DeepEqual(interp.PerRun, auto.PerRun) {
@@ -208,9 +197,9 @@ func TestCompiledMatchesInterpretedCorpus(t *testing.T) {
 
 // TestBudgetStopsIdenticalAcrossEvals pins the run-batching budget
 // contract: the compiled executor amortizes its budget checks at the
-// same exact access boundaries as the interpreter, so a tripped MaxSteps
-// budget reports the identical Used count under both evaluators, and the
-// overshoot stays within one check interval.
+// same exact access boundaries as the oracle's per-access checks, so a
+// tripped MaxSteps budget reports the identical Used count under both
+// evaluators, and the overshoot stays within one check interval.
 func TestBudgetStopsIdenticalAcrossEvals(t *testing.T) {
 	kern, err := kernels.Heat(16, 2048)
 	if err != nil {
@@ -223,49 +212,21 @@ func TestBudgetStopsIdenticalAcrossEvals(t *testing.T) {
 	}
 	opts.Budget = guard.Budget{MaxSteps: full.Accesses / 2}
 	var used [2]int64
-	for i, eval := range []EvalMode{EvalInterpreted, EvalCompiled} {
-		opts.Eval = eval
-		_, err := Analyze(kern.Nest, opts)
+	for i, eval := range []struct {
+		name string
+		fn   func(*loopir.Nest, Options) (*Result, error)
+	}{{"oracle", analyzeOracle}, {"compiled", Analyze}} {
+		_, err := eval.fn(kern.Nest, opts)
 		var be *guard.BudgetError
 		if !errors.As(err, &be) || be.Resource != "steps" {
-			t.Fatalf("%v: err = %v, want *guard.BudgetError{steps}", eval, err)
+			t.Fatalf("%s: err = %v, want *guard.BudgetError{steps}", eval.name, err)
 		}
 		if be.Used <= be.Limit || be.Used > be.Limit+budgetCheckEvery {
-			t.Fatalf("%v: stopped at %d for limit %d (interval %d)", eval, be.Used, be.Limit, budgetCheckEvery)
+			t.Fatalf("%s: stopped at %d for limit %d (interval %d)", eval.name, be.Used, be.Limit, budgetCheckEvery)
 		}
 		used[i] = be.Used
 	}
 	if used[0] != used[1] {
-		t.Fatalf("evaluators stopped at different access counts: interpreted %d, compiled %d", used[0], used[1])
-	}
-}
-
-// TestEvalModeRoundTrip pins the CLI/service spelling of each mode and
-// that Result.Eval reports the evaluator that actually ran.
-func TestEvalModeRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want EvalMode
-	}{{"", EvalAuto}, {"auto", EvalAuto}, {"compiled", EvalCompiled}, {"interpreted", EvalInterpreted}} {
-		got, err := EvalModeFromString(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("EvalModeFromString(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := EvalModeFromString("fancy"); err == nil {
-		t.Fatal("EvalModeFromString accepted an unknown mode")
-	}
-	nest := goldenKernels(t)["heat"]
-	for _, tc := range []struct {
-		eval EvalMode
-		want EvalMode
-	}{{EvalAuto, EvalCompiled}, {EvalCompiled, EvalCompiled}, {EvalInterpreted, EvalInterpreted}} {
-		res, err := Analyze(nest, Options{Machine: machine.Paper48(), NumThreads: 8, Eval: tc.eval})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Eval != tc.want {
-			t.Fatalf("eval=%v ran %v, want %v", tc.eval, res.Eval, tc.want)
-		}
+		t.Fatalf("evaluators stopped at different access counts: oracle %d, compiled %d", used[0], used[1])
 	}
 }

@@ -162,7 +162,7 @@ func TestExtrapolateRespectsTrackingModes(t *testing.T) {
 	}{
 		{"per-run", func(o *Options) { o.RecordPerRun = true }},
 		{"hot-lines", func(o *Options) { o.TrackHotLines = true }},
-		{"map-backend", func(o *Options) { o.Backend = BackendMap }},
+		{"map-backend", func(o *Options) { o.forceMap = true }},
 	} {
 		opts := base
 		tc.mut(&opts)

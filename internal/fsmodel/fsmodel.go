@@ -63,80 +63,6 @@ func (m CountingMode) String() string {
 	return fmt.Sprintf("CountingMode(%d)", int(m))
 }
 
-// StateBackend selects the data structures backing a run's coherence
-// directory and per-thread cache states.
-type StateBackend int
-
-const (
-	// BackendAuto (the default) uses the dense array-backed state when the
-	// nest's reachable cache-line space is compact enough to index
-	// directly, and falls back to the general map-backed state otherwise
-	// (sparse or unbounded address spaces, the set-associative ablation,
-	// or a dense window that would exceed the memory budget). Both
-	// backends compute bit-identical results.
-	BackendAuto StateBackend = iota
-	// BackendDense forces the dense path; Analyze errors if the nest's
-	// address space cannot be remapped to a dense window.
-	BackendDense
-	// BackendMap forces the general map path.
-	BackendMap
-)
-
-// String names the backend.
-func (b StateBackend) String() string {
-	switch b {
-	case BackendAuto:
-		return "auto"
-	case BackendDense:
-		return "dense"
-	case BackendMap:
-		return "map"
-	}
-	return fmt.Sprintf("StateBackend(%d)", int(b))
-}
-
-// EvalMode selects how the lockstep enumeration is driven.
-type EvalMode int
-
-const (
-	// EvalAuto (the default) compiles the nest into an access-run plan
-	// (internal/accessplan) and runs the block-structured executor, falling
-	// back to per-iteration interpretation when the nest cannot be
-	// compiled. Both evaluators produce bit-identical results.
-	EvalAuto EvalMode = iota
-	// EvalCompiled forces the compiled executor; Analyze errors if the
-	// nest cannot be compiled (used by CI to detect silent fallbacks).
-	EvalCompiled
-	// EvalInterpreted forces the original per-iteration interpreter.
-	EvalInterpreted
-)
-
-// String names the mode.
-func (e EvalMode) String() string {
-	switch e {
-	case EvalAuto:
-		return "auto"
-	case EvalCompiled:
-		return "compiled"
-	case EvalInterpreted:
-		return "interpreted"
-	}
-	return fmt.Sprintf("EvalMode(%d)", int(e))
-}
-
-// EvalModeFromString parses the CLI/service spelling of an EvalMode.
-func EvalModeFromString(s string) (EvalMode, error) {
-	switch s {
-	case "", "auto":
-		return EvalAuto, nil
-	case "compiled":
-		return EvalCompiled, nil
-	case "interpreted":
-		return EvalInterpreted, nil
-	}
-	return EvalAuto, fmt.Errorf("fsmodel: unknown eval mode %q (want auto, compiled or interpreted)", s)
-}
-
 // Options configures an analysis run.
 type Options struct {
 	// Machine supplies line size and private-cache capacity. Defaults to
@@ -168,16 +94,12 @@ type Options struct {
 	// TrackHotLines additionally attributes FS cases to individual cache
 	// lines (Result.HotLines), at a small per-FS-event cost.
 	TrackHotLines bool
-	// Backend selects the per-run state implementation (see StateBackend).
-	Backend StateBackend
-	// Eval selects the evaluation pipeline (see EvalMode).
-	Eval EvalMode
-	// Extrapolate enables steady-state chunk-run extrapolation on the
-	// compiled path: the model simulates chunk runs only until the
-	// per-run FS/miss deltas become exactly periodic, then closes the
-	// total in O(1). Refused (with a silent fall back to full
-	// simulation) whenever the nest's structure cannot guarantee
-	// periodicity; Result.Extrapolated reports what happened.
+	// Extrapolate enables steady-state chunk-run extrapolation: the model
+	// simulates chunk runs only until the per-run FS/miss deltas become
+	// exactly periodic, then closes the total in O(1). Refused (with a
+	// silent fall back to full simulation) whenever the nest's structure
+	// cannot guarantee periodicity; Result.Extrapolated reports what
+	// happened.
 	Extrapolate bool
 	// Budget bounds the run: modeled accesses (MaxSteps), modeled state
 	// bytes (MaxStateBytes) and a wall-clock deadline. The zero value is
@@ -189,6 +111,11 @@ type Options struct {
 	// input always stops at the same access. A budget never changes the
 	// result of a run it does not abort.
 	Budget guard.Budget
+
+	// forceMap pins the run to the map-backed state, which is otherwise
+	// chosen only from the input; in-package tests use it to cross-check
+	// the two state representations.
+	forceMap bool
 }
 
 func (o Options) withDefaults() Options {
@@ -239,12 +166,6 @@ type Result struct {
 
 	Plan sched.Plan
 	Mode CountingMode
-	// Backend reports which state implementation the run actually used
-	// (BackendAuto resolves to dense or map before the run starts).
-	Backend StateBackend
-	// Eval reports which evaluator actually ran (EvalAuto resolves to
-	// compiled or interpreted before the run starts).
-	Eval EvalMode
 	// Extrapolated reports that the steady-state closure produced the
 	// totals; SimulatedRuns is how many chunk runs were actually
 	// simulated before the periodic tail was closed in O(1), and
@@ -262,6 +183,8 @@ type Result struct {
 	ByRef []RefAttribution
 	// hotLines maps cache line -> FS count (Options.TrackHotLines).
 	hotLines map[int64]int64
+	// dense records which state representation the run used.
+	dense bool
 }
 
 // RefAttribution is the FS share of one source-level reference.
@@ -434,7 +357,7 @@ const (
 
 // errDenseRange reports an access outside the precomputed dense window
 // (possible only when an affine subscript strays outside its symbol's
-// declared extent); BackendAuto restarts the run on the map path.
+// declared extent); Analyze restarts the run on the map state.
 var errDenseRange = fmt.Errorf("fsmodel: access outside the dense line window")
 
 // run bundles one analysis run's precomputed state. Option-dependent
@@ -443,7 +366,6 @@ var errDenseRange = fmt.Errorf("fsmodel: access outside the dense line window")
 // paths never consult cold Options.
 type run struct {
 	res  *Result
-	gen  *trace.Generator
 	plan sched.Plan
 	nest *loopir.Nest
 
@@ -455,35 +377,34 @@ type run struct {
 	lineSize     int64
 	extrapolate  bool
 
-	// Compiled path: the access-run plan (nil on the interpreted path),
-	// the transposed lazy-LRU state (dense backend only), and the
-	// silent-mutation counter feeding quiet-segment detection — it counts
-	// writes that changed owner or dirtied a clean resident line without
-	// firing any other counter, so "no counter moved" really means "the
-	// step left the modeled state equivalent".
+	// The access-run plan the executor drives, the transposed lazy-LRU
+	// state (dense state only), and the silent-mutation counter feeding
+	// quiet-segment detection — it counts writes that changed owner or
+	// dirtied a clean resident line without firing any other counter, so
+	// "no counter moved" really means "the step left the modeled state
+	// equivalent".
 	ap  *accessplan.Plan
 	lz  *lazyState
 	mut int64
 
 	// Budget enforcement: budgeted gates the per-access branch entirely;
 	// nextCheck is the access count at which the next amortized Check
-	// fires; denseBytes is the dense backend's fixed state size.
+	// fires; denseBytes is the dense state's fixed size.
 	budget     guard.Budget
 	budgeted   bool
 	nextCheck  int64
 	denseBytes int64
 
-	// Map path (sparse or unbounded address spaces, set-assoc ablation).
+	// Map state (sparse or unbounded address spaces, set-assoc ablation).
 	dir    map[int64]dirEntry
 	states []threadState
 
-	// Dense path: the directory is a flat slice indexed by remapped line
-	// id (global line − base), and each thread state is an array-backed
-	// FlatLRU over the same dense id space. Allocation-free per access.
-	dense   bool
-	base    int64 // first global line id of the dense window
-	ddir    []dirEntry
-	dstates []*cache.FlatLRU
+	// Dense state: the directory is a flat slice indexed by remapped line
+	// id (global line − base), and the per-thread cache states live in lz
+	// over the same dense id space. Allocation-free per access.
+	dense bool
+	base  int64 // first global line id of the dense window
+	ddir  []dirEntry
 }
 
 // denseExtent computes the contiguous cache-line window reachable through
@@ -517,9 +438,10 @@ func denseExtent(nest *loopir.Nest, lineSize int64) (firstLine, span int64, ok b
 	return firstLine, span, true
 }
 
-// denseStateBytes estimates the dense backend's allocation for a window
-// of span lines: dirEntry slice + per-thread line→slot tables +
-// per-thread slot arrays (line, prev, next, modified).
+// denseStateBytes prices the dense state for a window of span lines: 16
+// bytes per directory line plus, per thread, 4 bytes per window line and
+// 14 per line of stack capacity. The figure sets the dense/map cutover
+// (denseMaxBytes) and the Budget.MaxStateBytes charge.
 func denseStateBytes(span int64, threads int, stackDepth int) int64 {
 	cap := span
 	if stackDepth > 0 && int64(stackDepth) < span {
@@ -537,12 +459,33 @@ func denseFits(span int64, threads int, stackDepth int) bool {
 	return denseStateBytes(span, threads, stackDepth) <= denseMaxBytes
 }
 
+// denseWindow chooses the state representation from the input alone: the
+// dense state when the nest's symbol extents form a window that fits the
+// size limits and the caller's state budget, the map state otherwise
+// (sparse or oversized windows, and the set-associative ablation, which
+// only the map state models).
+func denseWindow(nest *loopir.Nest, opts Options, threads int) (base, span int64, ok bool) {
+	if opts.forceMap || opts.Associativity > 0 {
+		return 0, 0, false
+	}
+	base, span, ok = denseExtent(nest, opts.Machine.LineSize)
+	if !ok || !denseFits(span, threads, opts.StackDepth) {
+		return 0, 0, false
+	}
+	// A dense window over the caller's state budget is not an error: the
+	// map state grows with touched lines only and may stay inside it (the
+	// amortized hot-loop check catches it if not).
+	if opts.Budget.CheckStateBytes(denseStateBytes(span, threads, opts.StackDepth)) != nil {
+		return 0, 0, false
+	}
+	return base, span, true
+}
+
 // newRun builds the per-run state for one Analyze call. dense selects the
-// state backend; the caller has already validated it is representable.
-// ap, when non-nil, selects the compiled executor (and, on the dense
-// backend, the transposed lazy-LRU state it drives).
-func newRun(nest *loopir.Nest, opts Options, plan sched.Plan, gen *trace.Generator, ap *accessplan.Plan, dense bool, base, span int64) (*run, error) {
-	res := &Result{Plan: plan, Mode: opts.Counting, SkippedRefs: gen.Skipped}
+// state representation; the caller has already checked it is
+// representable.
+func newRun(nest *loopir.Nest, opts Options, plan sched.Plan, skipped []string, ap *accessplan.Plan, dense bool, base, span int64) (*run, error) {
+	res := &Result{Plan: plan, Mode: opts.Counting, SkippedRefs: skipped, dense: dense}
 	res.ChunkRunsTotal = totalChunkRuns(nest, plan)
 	if opts.TrackHotLines {
 		res.hotLines = make(map[int64]int64)
@@ -553,7 +496,6 @@ func newRun(nest *loopir.Nest, opts Options, plan sched.Plan, gen *trace.Generat
 
 	r := &run{
 		res:          res,
-		gen:          gen,
 		plan:         plan,
 		nest:         nest,
 		mode:         opts.Counting,
@@ -568,15 +510,9 @@ func newRun(nest *loopir.Nest, opts Options, plan sched.Plan, gen *trace.Generat
 		budgeted:     !opts.Budget.Zero(),
 		nextCheck:    budgetCheckEvery,
 	}
-	if ap != nil {
-		res.Eval = EvalCompiled
-	} else {
-		res.Eval = EvalInterpreted
-	}
 
 	if dense {
 		r.denseBytes = denseStateBytes(span, plan.NumThreads, opts.StackDepth)
-		res.Backend = BackendDense
 		r.dense = true
 		r.base = base
 		r.ddir = make([]dirEntry, span)
@@ -584,18 +520,10 @@ func newRun(nest *loopir.Nest, opts Options, plan sched.Plan, gen *trace.Generat
 		for i := range r.ddir {
 			r.ddir[i].owner = -1
 		}
-		if ap != nil {
-			r.lz = newLazyState(span, plan.NumThreads, opts.StackDepth)
-			return r, nil
-		}
-		r.dstates = make([]*cache.FlatLRU, plan.NumThreads)
-		for t := range r.dstates {
-			r.dstates[t] = cache.NewFlatLRU(int(span), opts.StackDepth)
-		}
+		r.lz = newLazyState(span, plan.NumThreads, opts.StackDepth)
 		return r, nil
 	}
 
-	res.Backend = BackendMap
 	r.dir = make(map[int64]dirEntry)
 	r.states = make([]threadState, plan.NumThreads)
 	for t := range r.states {
@@ -617,83 +545,40 @@ func newRun(nest *loopir.Nest, opts Options, plan sched.Plan, gen *trace.Generat
 	return r, nil
 }
 
-// Analyze runs the false-sharing cost model over the nest.
+// Analyze runs the false-sharing cost model over the nest: the nest is
+// compiled into an access-run plan (internal/accessplan) and driven by
+// the block-structured executor (compiled.go).
 func Analyze(nest *loopir.Nest, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	plan, gen, err := prepare(nest, opts)
 	if err != nil {
 		return nil, err
 	}
-	if plan.NumThreads > 64 {
-		return nil, fmt.Errorf("fsmodel: at most 64 threads supported, got %d", plan.NumThreads)
+	ap, err := accessplan.Compile(nest, plan, opts.Machine.LineSize)
+	if err != nil {
+		return nil, fmt.Errorf("fsmodel: %w", err)
 	}
-
-	dense := false
-	var base, span int64
-	if opts.Backend != BackendMap && opts.Associativity == 0 {
-		var ok bool
-		base, span, ok = denseExtent(nest, opts.Machine.LineSize)
-		dense = ok && denseFits(span, plan.NumThreads, opts.StackDepth)
-		if dense {
-			// A dense window over the caller's state budget is not an
-			// error under BackendAuto: the map path grows with touched
-			// lines only and may stay inside it (the amortized hot-loop
-			// check catches it if not).
-			if err := opts.Budget.CheckStateBytes(denseStateBytes(span, plan.NumThreads, opts.StackDepth)); err != nil {
-				if opts.Backend == BackendDense {
-					return nil, err
-				}
-				dense = false
-			}
-		}
-	}
-	if opts.Backend == BackendDense && !dense {
-		return nil, fmt.Errorf("fsmodel: dense backend not representable for this nest (sparse/unbounded address space, set-associative ablation, or window over budget)")
-	}
-
-	// Resolve the evaluator: compile the nest into an access-run plan
-	// unless interpretation was forced. Compilation failure falls back to
-	// the interpreter under EvalAuto and is an error under EvalCompiled.
-	var ap *accessplan.Plan
-	if opts.Eval != EvalInterpreted {
-		p, cerr := accessplan.Compile(nest, plan, opts.Machine.LineSize)
-		if cerr != nil {
-			if opts.Eval == EvalCompiled {
-				return nil, fmt.Errorf("fsmodel: compiled evaluator unavailable: %w", cerr)
-			}
-		} else {
-			ap = p
-		}
-	}
-
-	r, err := newRun(nest, opts, plan, gen, ap, dense, base, span)
+	base, span, dense := denseWindow(nest, opts, plan.NumThreads)
+	r, err := newRun(nest, opts, plan, gen.Skipped, ap, dense, base, span)
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.run()
-	if err == errDenseRange && opts.Backend == BackendAuto {
+	res, err := r.executeCompiled()
+	if err == errDenseRange {
 		// A reference strayed outside its symbol's extent: restart on the
-		// general map path, which handles arbitrary line ids.
-		if r, err = newRun(nest, opts, plan, gen, ap, false, 0, 0); err != nil {
+		// map state, which handles arbitrary line ids.
+		if r, err = newRun(nest, opts, plan, gen.Skipped, ap, false, 0, 0); err != nil {
 			return nil, err
 		}
-		res, err = r.run()
+		res, err = r.executeCompiled()
 	}
 	return res, err
 }
 
-// run dispatches to the evaluator selected at newRun time.
-func (r *run) run() (*Result, error) {
-	if r.ap != nil {
-		return r.executeCompiled()
-	}
-	return r.execute()
-}
-
 // addAccesses credits n logical accesses against the budget, firing the
 // amortized Check at every crossed budgetCheckEvery boundary with the
-// exact boundary value — so a run-batched evaluator aborts with the same
-// BudgetError.Used as the per-access interpreter, no matter how many
+// exact boundary value — so a run-batched executor aborts with the same
+// BudgetError.Used as a per-access evaluation, no matter how many
 // accesses one batch amortizes.
 func (r *run) addAccesses(n int64) error {
 	r.res.Accesses += n
@@ -710,105 +595,9 @@ func (r *run) addAccesses(n int64) error {
 	return nil
 }
 
-// execute drives the lockstep enumeration of the thread team over the
-// per-run state. It is the model's hot loop, shared by both backends.
-func (r *run) execute() (*Result, error) {
-	res := r.res
-	cursors := r.gen.Cursors()
-	numThreads := r.plan.NumThreads
-	lineSize := r.lineSize
-	dense := r.dense
-	active := numThreads
-	var accBuf []trace.Access
-
-	// Chunk-run tracking piggybacks on thread 0: a chunk run completes
-	// when thread 0 finishes each of its chunks (lockstep execution means
-	// all threads finish theirs at the same step). It is skipped entirely
-	// when neither RecordPerRun nor MaxChunkRuns needs it.
-	var t0Trips int64 // parallel-loop trips consumed by thread 0
-	var t0PrevKey [2]int64
-	t0HaveKey := false
-
-	// Fail fast on a budget that is already blown (expired deadline,
-	// oversized initial state) even when the run is shorter than one
-	// amortized check interval.
-	if r.budgeted {
-		if err := r.budget.Check(0, r.estimateStateBytes()); err != nil {
-			return nil, err
-		}
-	}
-
-	for active > 0 {
-		res.Steps++
-		for t := 0; t < numThreads; t++ {
-			cur := cursors[t]
-			if cur.Done() {
-				continue
-			}
-			if !cur.Next() {
-				active--
-				continue
-			}
-			res.Iterations++
-			if t == 0 && r.trackRuns {
-				key := [2]int64{prefixFingerprint(cur, r.nest.ParLevel), cur.ParallelTrip()}
-				if !t0HaveKey || key != t0PrevKey {
-					t0Trips++
-					t0PrevKey = key
-					t0HaveKey = true
-					// Thread 0 runs first within a lockstep step, so at the
-					// moment it begins a new chunk every thread has finished
-					// the previous chunk run and none of the new run's
-					// accesses have been processed: snapshot here.
-					for completed := (t0Trips - 1) / r.plan.Chunk; res.ChunkRunsEvaluated < completed; {
-						res.ChunkRunsEvaluated++
-						if r.recordPerRun {
-							res.PerRun = append(res.PerRun, res.FSCases)
-						}
-						if r.maxRuns > 0 && res.ChunkRunsEvaluated >= r.maxRuns {
-							res.Truncated = true
-							return res, nil
-						}
-					}
-				}
-			}
-			accBuf = r.gen.Accesses(cur.Vals(), accBuf)
-			for i := range accBuf {
-				a := &accBuf[i]
-				first, last := cache.LinesTouched(a.Addr, a.Size, lineSize)
-				for line := first; line <= last; line++ {
-					res.Accesses++
-					if r.budgeted && res.Accesses >= r.nextCheck {
-						r.nextCheck = res.Accesses + budgetCheckEvery
-						if err := r.budget.Check(res.Accesses, r.estimateStateBytes()); err != nil {
-							return nil, err
-						}
-					}
-					if dense {
-						if !r.accessDense(t, line, a.Write, int(a.Ref)) {
-							return nil, errDenseRange
-						}
-					} else {
-						r.accessMap(t, line, a.Write, int(a.Ref))
-					}
-				}
-			}
-		}
-	}
-	// Close out the final (possibly partial) chunk run(s).
-	if r.recordPerRun && r.plan.Chunk > 0 {
-		finalRuns := (t0Trips + r.plan.Chunk - 1) / r.plan.Chunk
-		for res.ChunkRunsEvaluated < finalRuns {
-			res.ChunkRunsEvaluated++
-			res.PerRun = append(res.PerRun, res.FSCases)
-		}
-	}
-	return res, nil
-}
-
 // estimateStateBytes approximates the run's live modeled state for
-// Budget.MaxStateBytes: the dense backend's size is fixed at setup; the
-// map backend is priced per directory entry plus per-thread stack nodes
+// Budget.MaxStateBytes: the dense state's size is fixed at setup; the
+// map state is priced per directory entry plus per-thread stack nodes
 // (the set-associative ablation is capacity-bounded and counted via its
 // fixed geometry at worst).
 func (r *run) estimateStateBytes() int64 {
@@ -824,71 +613,11 @@ func (r *run) estimateStateBytes() int64 {
 	return bytes
 }
 
-// accessDense performs steps 3–4 of the model for one (thread, line)
-// access on the dense backend: the 1-to-All ϕ comparison against the flat
-// directory, coherence bookkeeping per the counting mode, and the FlatLRU
-// update — all index arithmetic, no hashing, no allocation. It reports
-// false when line falls outside the dense window.
-func (r *run) accessDense(t int, line int64, write bool, refIdx int) bool {
-	idx := line - r.base
-	if idx < 0 || idx >= int64(len(r.ddir)) {
-		return false
-	}
-	res := r.res
-	e := &r.ddir[idx]
-	ownerBefore := e.owner
-	tBit := uint64(1) << uint(t)
-
-	// ϕ with mask: another thread holds this line Modified.
-	if e.owner >= 0 && int(e.owner) != t {
-		res.FSCases++
-		if refIdx >= 0 && refIdx < len(res.ByRef) {
-			res.ByRef[refIdx].FSCases++
-		}
-		if r.trackHot {
-			res.hotLines[line]++
-		}
-		r.dstates[e.owner].Downgrade(idx)
-		e.owner = -1
-	}
-
-	if r.mode == CountMESI && write {
-		others := e.holders &^ tBit
-		for others != 0 {
-			u := bits.TrailingZeros64(others)
-			others &^= 1 << uint(u)
-			r.dstates[u].Invalidate(idx)
-			e.holders &^= 1 << uint(u)
-			res.Invalidations++
-		}
-	}
-
-	tr := r.dstates[t].Touch(idx, write)
-	if !tr.Hit {
-		res.ColdMisses++
-		e.holders |= tBit
-	}
-	if tr.Evicted {
-		res.CapacityEvictions++
-		ev := &r.ddir[tr.EvictedLine]
-		ev.holders &^= tBit
-		if int(ev.owner) == t || ev.holders == 0 {
-			// holders == 0 mirrors the map path's entry deletion.
-			ev.owner = -1
-		}
-	}
-	if write {
-		if ownerBefore != int8(t) || (tr.Hit && !tr.WasModified) {
-			r.mut++
-		}
-		e.owner = int8(t)
-	}
-	return true
-}
-
-// accessMap is accessDense's general-purpose twin over the map-backed
-// directory and the threadState interface (pointer-based FullyAssoc or the
-// set-associative ablation).
+// accessMap performs steps 3–4 of the model for one (thread, line) access
+// on the map state: the 1-to-All ϕ comparison against the directory,
+// coherence bookkeeping per the counting mode, and the threadState update
+// (pointer-based FullyAssoc or the set-associative ablation). accessLazy
+// is its dense twin.
 func (r *run) accessMap(t int, line int64, write bool, refIdx int) {
 	res := r.res
 	e, known := r.dir[line]
@@ -953,24 +682,13 @@ func (r *run) accessMap(t int, line int64, write bool, refIdx int) {
 	r.dir[line] = e
 }
 
-// prefixFingerprint summarizes the loop-variable values above the parallel
-// level so chunk-run counting notices when a new parallel-loop instance
-// begins. Values are folded; collisions would only perturb run sampling,
-// not FS counts.
-func prefixFingerprint(c *trace.ThreadCursor, parLevel int) int64 {
-	if parLevel <= 0 {
-		return 0
-	}
-	var h int64 = 1469598103934665603
-	vals := c.Vals()
-	for i := 0; i < parLevel; i++ {
-		h = h*1099511628211 + vals[i]
-	}
-	return h
-}
-
-// prepare resolves the scheduling plan and builds the trace generator.
+// prepare validates the machine, resolves the scheduling plan and builds
+// the trace generator (which also lists the non-affine references the
+// model skips).
 func prepare(nest *loopir.Nest, opts Options) (sched.Plan, *trace.Generator, error) {
+	if err := opts.Machine.Validate(); err != nil {
+		return sched.Plan{}, nil, fmt.Errorf("fsmodel: %w", err)
+	}
 	par := nest.Parallelized()
 	if par == nil {
 		return sched.Plan{}, nil, fmt.Errorf("fsmodel: nest has no parallel loop (missing omp pragma)")
@@ -997,6 +715,9 @@ func prepare(nest *loopir.Nest, opts Options) (sched.Plan, *trace.Generator, err
 	plan, err := sched.Resolve(kind, threads, chunk, trip)
 	if err != nil {
 		return sched.Plan{}, nil, err
+	}
+	if plan.NumThreads > 64 {
+		return sched.Plan{}, nil, fmt.Errorf("fsmodel: at most 64 threads supported, got %d", plan.NumThreads)
 	}
 	gen, err := trace.NewGenerator(nest, plan)
 	if err != nil {

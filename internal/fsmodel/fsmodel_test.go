@@ -381,6 +381,28 @@ for (i = 0; i < 8; i++) a[i] = 1.0;
 	}
 }
 
+// TestAnalyzeValidatesMachine pins that Analyze checks its machine before
+// any work: a hand-built description with a 48-byte line (not a power of
+// two, so no access-run plan exists for it) is refused with the machine's
+// own validation error.
+func TestAnalyzeValidatesMachine(t *testing.T) {
+	par := loadNest(t, `
+double a[64];
+#pragma omp parallel for schedule(static,1) num_threads(4)
+for (i = 0; i < 64; i++) a[i] = 1.0;
+`)
+	d := *machine.Paper48()
+	d.Name = "paper48-l48"
+	d.LineSize = 48
+	_, err := Analyze(par, Options{Machine: &d})
+	if err == nil || !strings.Contains(err.Error(), "line size 48 not a power of two") {
+		t.Fatalf("48-byte line: err = %v, want the machine validation error", err)
+	}
+	if _, err := analyzeOracle(par, Options{Machine: &d}); err == nil {
+		t.Fatal("oracle accepted a 48-byte line")
+	}
+}
+
 func TestNonAffineRefsReported(t *testing.T) {
 	src := `
 #define N 16

@@ -28,15 +28,15 @@ func goldenKernels(t *testing.T) map[string]*loopir.Nest {
 	return map[string]*loopir.Nest{"heat": heat.Nest, "dft": dft.Nest, "linreg": lr.Nest}
 }
 
-// requireIdentical compares every externally observable field of two
-// results except the Backend tag itself.
+// requireIdentical checks the two runs used the dense and the map state
+// respectively, and compares every other externally observable field.
 func requireIdentical(t *testing.T, label string, dense, mapped *Result) {
 	t.Helper()
-	if dense.Backend != BackendDense {
-		t.Fatalf("%s: dense run used backend %v", label, dense.Backend)
+	if !dense.dense {
+		t.Fatalf("%s: dense run used the map state", label)
 	}
-	if mapped.Backend != BackendMap {
-		t.Fatalf("%s: map run used backend %v", label, mapped.Backend)
+	if mapped.dense {
+		t.Fatalf("%s: map run used the dense state", label)
 	}
 	type counters struct {
 		FSCases, Invalidations, Iterations, Steps, Accesses int64
@@ -65,7 +65,7 @@ func requireIdentical(t *testing.T, label string, dense, mapped *Result) {
 // TestBackendsBitIdentical is the golden cross-check the dense rewrite
 // must satisfy: on every paper kernel, under both counting modes, with FS
 // and FS-free chunks, with per-run recording and hot-line tracking on, the
-// dense and map backends produce identical results in every field.
+// dense and map states produce identical results in every field.
 func TestBackendsBitIdentical(t *testing.T) {
 	nests := goldenKernels(t)
 	chunks := map[string][2]int64{
@@ -80,12 +80,11 @@ func TestBackendsBitIdentical(t *testing.T) {
 					Machine: machine.Paper48(), NumThreads: 8, Chunk: chunk,
 					Counting: mode, RecordPerRun: true, TrackHotLines: true,
 				}
-				opts.Backend = BackendDense
 				dense, err := Analyze(nest, opts)
 				if err != nil {
 					t.Fatalf("%s chunk=%d mode=%v dense: %v", name, chunk, mode, err)
 				}
-				opts.Backend = BackendMap
+				opts.forceMap = true
 				mapped, err := Analyze(nest, opts)
 				if err != nil {
 					t.Fatalf("%s chunk=%d mode=%v map: %v", name, chunk, mode, err)
@@ -108,12 +107,11 @@ func TestBackendsIdenticalSmallStack(t *testing.T) {
 				Machine: machine.Paper48(), NumThreads: 4, Chunk: 1,
 				StackDepth: depth, Counting: CountMESI, RecordPerRun: true, TrackHotLines: true,
 			}
-			opts.Backend = BackendDense
 			dense, err := Analyze(nest, opts)
 			if err != nil {
 				t.Fatalf("%s depth=%d dense: %v", name, depth, err)
 			}
-			opts.Backend = BackendMap
+			opts.forceMap = true
 			mapped, err := Analyze(nest, opts)
 			if err != nil {
 				t.Fatalf("%s depth=%d map: %v", name, depth, err)
@@ -123,23 +121,23 @@ func TestBackendsIdenticalSmallStack(t *testing.T) {
 	}
 }
 
-// TestAutoSelectsDenseOnPaperKernels checks the default backend resolves
-// to the dense path for every paper kernel (their symbol extents are
-// contiguous and comfortably within budget).
+// TestAutoSelectsDenseOnPaperKernels checks every paper kernel runs on
+// the dense state (their symbol extents are contiguous and comfortably
+// within budget).
 func TestAutoSelectsDenseOnPaperKernels(t *testing.T) {
 	for name, nest := range goldenKernels(t) {
 		res, err := Analyze(nest, Options{Machine: machine.Paper48(), NumThreads: 8, Chunk: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Backend != BackendDense {
-			t.Errorf("%s: auto backend = %v, want dense", name, res.Backend)
+		if !res.dense {
+			t.Errorf("%s: ran on the map state, want dense", name)
 		}
 	}
 }
 
 // TestSetAssocForcesMapBackend checks the set-associative ablation always
-// runs on the general path, and that requesting dense for it errors.
+// runs on the map state.
 func TestSetAssocForcesMapBackend(t *testing.T) {
 	nest := goldenKernels(t)["linreg"]
 	opts := Options{Machine: machine.Paper48(), NumThreads: 4, Chunk: 1, Associativity: 8}
@@ -147,18 +145,14 @@ func TestSetAssocForcesMapBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Backend != BackendMap {
-		t.Fatalf("set-assoc backend = %v, want map", res.Backend)
-	}
-	opts.Backend = BackendDense
-	if _, err := Analyze(nest, opts); err == nil {
-		t.Fatal("dense backend with set-assoc ablation should error")
+	if res.dense {
+		t.Fatal("set-assoc ablation ran on the dense state, want map")
 	}
 }
 
 // TestDenseRangeFallsBackToMap drives an affine reference outside its
 // symbol's declared extent: the dense window cannot contain it, so the
-// auto path must restart on the map backend and still count correctly.
+// run must restart on the map state and still count correctly.
 func TestDenseRangeFallsBackToMap(t *testing.T) {
 	src := `
 #define N 8
@@ -169,12 +163,12 @@ for (i = 0; i < N; i++) a[i + 63] = 1.0;
 	nest := loadNest(t, src)
 	res, err := Analyze(nest, Options{Machine: machine.Paper48()})
 	if err != nil {
-		t.Fatalf("auto: %v", err)
+		t.Fatalf("analyze: %v", err)
 	}
-	if res.Backend != BackendMap {
-		t.Fatalf("backend = %v, want map fallback", res.Backend)
+	if res.dense {
+		t.Fatal("ran on the dense state, want map fallback")
 	}
-	forced, err := Analyze(nest, Options{Machine: machine.Paper48(), Backend: BackendMap})
+	forced, err := Analyze(nest, Options{Machine: machine.Paper48(), forceMap: true})
 	if err != nil {
 		t.Fatal(err)
 	}

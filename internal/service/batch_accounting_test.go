@@ -23,7 +23,7 @@ func TestBatchItemAccounting(t *testing.T) {
 
 	// Saturate admission deterministically: occupy the only evaluation
 	// slot directly and park one request in the only queue spot.
-	release, err := s.limiter.acquire(context.Background())
+	release, err := s.admit.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

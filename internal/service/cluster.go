@@ -85,7 +85,7 @@ type clusterRoute struct {
 	path string
 	// payload is the re-marshaled request body. Request structs marshal
 	// losslessly, so the owner resolves the identical cache key —
-	// assuming homogeneous -eval/-extrapolate config across the fleet
+	// assuming homogeneous -extrapolate config across the fleet
 	// (see docs/CLUSTER.md).
 	payload []byte
 	// forwarded marks a request that already took its one hop.

@@ -47,7 +47,7 @@ const (
 // non-owner's breaker state says nothing about it. A request that
 // already took its one forwarding hop bypasses routing and is served
 // locally (the hop guard).
-func (s *Server) guarded(ctx context.Context, endpoint, key string, route *clusterRoute, eval func(context.Context) ([]byte, string, error), degrade func(reason string) ([]byte, error)) (body []byte, source string, err error) {
+func (s *Server) guarded(ctx context.Context, endpoint, key string, route *clusterRoute, eval func(context.Context) ([]byte, error), degrade func(reason string) ([]byte, error)) (body []byte, source string, err error) {
 	if s.cluster != nil && route != nil && !route.forwarded {
 		if h := s.cluster.route(ctx, endpoint, key, route, degrade); h != nil {
 			return h.body, h.source, h.err
@@ -245,16 +245,16 @@ type ReadyzResponse struct {
 // only while draining; an open breaker keeps 200 with status
 // "degraded", because the service still answers every request.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	st := s.limiter.stats()
+	st := s.admit.Stats()
 	resp := ReadyzResponse{
 		Status: "ok",
 		Pool: readyzPool{
-			Running:       st.running,
-			Capacity:      st.capacity,
-			Waiting:       st.waiting,
-			QueueCapacity: st.maxWait,
-			Saturated:     st.running >= int(st.limit) && st.waiting >= st.maxWait,
-			Limit:         st.limit,
+			Running:       st.Running,
+			Capacity:      st.Ceiling,
+			Waiting:       st.Waiting,
+			QueueCapacity: st.MaxWait,
+			Saturated:     st.Running >= int(st.Limit) && st.Waiting >= st.MaxWait,
+			Limit:         st.Limit,
 		},
 	}
 	if len(s.breakers) > 0 {

@@ -51,7 +51,7 @@ func statusFor(err error) int {
 	switch {
 	case errors.As(err, &pe), errors.As(err, &uk):
 		return http.StatusBadRequest
-	case errors.Is(err, errQueueFull), errors.As(err, &de), errors.As(err, &qe):
+	case errors.Is(err, admission.ErrQueueFull), errors.As(err, &de), errors.As(err, &qe):
 		// All three admission rejections are backpressure: full queue,
 		// unmeetable deadline, exhausted client quota.
 		return http.StatusTooManyRequests

@@ -80,10 +80,10 @@ func ceilSeconds(d time.Duration) int {
 // re-colliding on the same second. The jitter source is seeded
 // (Config.Seed), keeping test runs reproducible.
 func (s *Server) retryAfterSeconds() int {
-	st := s.limiter.stats()
+	st := s.admit.Stats()
 	base := 1
-	if st.maxWait > 0 {
-		base += (3 * st.waiting) / st.maxWait
+	if st.MaxWait > 0 {
+		base += (3 * st.Waiting) / st.MaxWait
 	}
 	s.jitterMu.Lock()
 	j := s.jitter.Intn(base + 1)
@@ -207,13 +207,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // bytes are served verbatim); source reports how it was obtained: "hit",
 // "coalesced", "miss", "peer-fill", "forward" or "degraded".
 func (s *Server) analyze(ctx context.Context, rr resolved, route *clusterRoute) (body []byte, source string, err error) {
-	return s.guarded(ctx, endpointAnalyze, rr.key, route, func(ctx context.Context) ([]byte, string, error) {
+	return s.guarded(ctx, endpointAnalyze, rr.key, route, func(ctx context.Context) ([]byte, error) {
 		resp, err := s.evaluate(ctx, rr)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
-		body, err := json.Marshal(resp)
-		return body, resp.EvalMode, err
+		return json.Marshal(resp)
 	}, func(reason string) ([]byte, error) {
 		return s.degradedAnalyze(rr, reason)
 	})
@@ -223,8 +222,7 @@ func (s *Server) analyze(ctx context.Context, rr resolved, route *clusterRoute) 
 // the in-flight dedup group, and the bounded evaluation pool, in that
 // order; every cacheable endpoint (/v1/analyze, /v1/lint) funnels through
 // it (via guarded). eval must return the exact response bytes to cache
-// and serve, plus the evaluation-mode label for the latency histogram
-// (empty is recorded as "unknown").
+// and serve.
 //
 // The whole path runs under a guard recover wrapper, and the flight
 // leader carries its own: a panic inside a leader would otherwise leave
@@ -233,7 +231,7 @@ func (s *Server) analyze(ctx context.Context, rr resolved, route *clusterRoute) 
 // (service.cache, service.flight, service.pool) sit inside these
 // wrappers, so injected panics surface as *guard.EvalPanicError, never
 // as a torn flight or a leaked pool slot.
-func (s *Server) serveCached(ctx context.Context, endpoint, key string, eval func(ctx context.Context) ([]byte, string, error)) (body []byte, source string, err error) {
+func (s *Server) serveCached(ctx context.Context, endpoint, key string, eval func(ctx context.Context) ([]byte, error)) (body []byte, source string, err error) {
 	type served struct {
 		body   []byte
 		source string
@@ -266,7 +264,7 @@ func (s *Server) serveCached(ctx context.Context, endpoint, key string, eval fun
 						return flightResult{body: b, peerFilled: true}, nil
 					}
 				}
-				release, err := s.limiter.acquire(ctx)
+				release, err := s.admit.Acquire(ctx)
 				if err != nil {
 					var de *admission.DeadlineError
 					if errors.As(err, &de) {
@@ -282,18 +280,15 @@ func (s *Server) serveCached(ctx context.Context, endpoint, key string, eval fun
 				s.metrics.Inflight.Inc()
 				defer s.metrics.Inflight.Dec()
 				start := time.Now()
-				b, mode, err := eval(ctx)
+				b, err := eval(ctx)
 				// Success-only latency feeds the adaptive limit: failures are
 				// the circuit breaker's signal, not a throughput one.
-				s.limiter.observe(time.Since(start), err == nil)
+				s.admit.Observe(time.Since(start), err == nil)
 				if err != nil {
 					return flightResult{}, err
 				}
-				if mode == "" {
-					mode = "unknown"
-				}
 				s.metrics.Evaluations.Inc()
-				s.metrics.EvalLatency.With(endpoint, mode).Observe(time.Since(start).Seconds())
+				s.metrics.EvalLatency.With(endpoint).Observe(time.Since(start).Seconds())
 				s.cache.Add(key, b)
 				if s.cluster != nil {
 					s.cluster.enqueuePush(key, b)
@@ -365,7 +360,6 @@ func (s *Server) evaluate(ctx context.Context, rr resolved) (*AnalyzeResponse, e
 		Iterations:     a.Iterations,
 		FSPerIteration: a.FSPerIteration,
 		ChunkRuns:      a.ChunkRuns,
-		EvalMode:       a.Eval,
 		Extrapolated:   a.Extrapolated,
 		TotalCycles:    cost.TotalWallCycles,
 		Victims:        a.Victims,
@@ -416,7 +410,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Items never return a Go error (failures are embedded), so the only
 	// sweep error is ctx expiry. Workers are not bounded here: each item
-	// still queues through the evaluation limiter, which is the real
+	// still queues through the admission controller, which is the real
 	// concurrency bound. Each item is accounted individually under the
 	// "batch-item" endpoint — embedded failures must not be invisible to
 	// fsserve_requests_total just because the envelope is a 200.
@@ -470,7 +464,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves GET /metrics in Prometheus text format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.CacheEntries.Set(int64(s.cache.Len()))
-	s.metrics.AdmissionLimit.Set(int64(s.limiter.stats().limit))
+	s.metrics.AdmissionLimit.Set(int64(s.admit.Stats().Limit))
 	if s.snap != nil {
 		s.metrics.SnapshotAgeSeconds.Set(s.snap.ageSeconds())
 	} else {

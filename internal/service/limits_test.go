@@ -5,14 +5,30 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+
+	"repro/internal/admission"
 )
+
+// newController builds an evaluation-pool admission controller with only
+// the queue-depth hook, reporting into depth when non-nil.
+func newController(maxConcurrent, maxQueue int, depth *Gauge) *admission.Controller {
+	return admission.New(admission.Config{
+		MaxConcurrent: maxConcurrent,
+		MaxQueue:      maxQueue,
+		OnQueueDepth: func(d int) {
+			if depth != nil {
+				depth.Set(int64(d))
+			}
+		},
+	})
+}
 
 func TestLimiterQueueFull(t *testing.T) {
 	g := &Gauge{}
-	l := newLimiter(1, 1, g)
+	l := newController(1, 1, g)
 	ctx := context.Background()
 
-	release, err := l.acquire(ctx) // takes the only slot
+	release, err := l.Acquire(ctx) // takes the only slot
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +37,7 @@ func TestLimiterQueueFull(t *testing.T) {
 	waiterOut := make(chan error, 1)
 	go func() {
 		close(waiterIn)
-		rel, err := l.acquire(ctx)
+		rel, err := l.Acquire(ctx)
 		if err == nil {
 			rel()
 		}
@@ -32,8 +48,8 @@ func TestLimiterQueueFull(t *testing.T) {
 		runtime.Gosched()
 	}
 	// The queue is now full: the next acquire is rejected immediately.
-	if _, err := l.acquire(ctx); !errors.Is(err, errQueueFull) {
-		t.Fatalf("err = %v, want errQueueFull", err)
+	if _, err := l.Acquire(ctx); !errors.Is(err, admission.ErrQueueFull) {
+		t.Fatalf("err = %v, want admission.ErrQueueFull", err)
 	}
 	release()
 	if err := <-waiterOut; err != nil {
@@ -45,31 +61,31 @@ func TestLimiterQueueFull(t *testing.T) {
 }
 
 func TestLimiterContextCancelWhileQueued(t *testing.T) {
-	l := newLimiter(1, 4, nil)
-	release, err := l.acquire(context.Background())
+	l := newController(1, 4, nil)
+	release, err := l.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer release()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := l.acquire(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := l.Acquire(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestLimiterConcurrencyBound(t *testing.T) {
-	l := newLimiter(2, 0, nil)
-	r1, err1 := l.acquire(context.Background())
-	r2, err2 := l.acquire(context.Background())
+	l := newController(2, 0, nil)
+	r1, err1 := l.Acquire(context.Background())
+	r2, err2 := l.Acquire(context.Background())
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
-	if _, err := l.acquire(context.Background()); !errors.Is(err, errQueueFull) {
-		t.Fatalf("third acquire with zero queue: err = %v, want errQueueFull", err)
+	if _, err := l.Acquire(context.Background()); !errors.Is(err, admission.ErrQueueFull) {
+		t.Fatalf("third acquire with zero queue: err = %v, want admission.ErrQueueFull", err)
 	}
 	r1()
-	r3, err := l.acquire(context.Background())
+	r3, err := l.Acquire(context.Background())
 	if err != nil {
 		t.Fatalf("after release: %v", err)
 	}

@@ -146,9 +146,8 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	body, source, err := s.guarded(ctx, endpointLint, rr.key, s.clusterRouteFor(r, "/v1/lint", req), func(ctx context.Context) ([]byte, string, error) {
-		b, err := s.evaluateLint(rr)
-		return b, "closed-form", err
+	body, source, err := s.guarded(ctx, endpointLint, rr.key, s.clusterRouteFor(r, "/v1/lint", req), func(ctx context.Context) ([]byte, error) {
+		return s.evaluateLint(rr)
 	}, func(reason string) ([]byte, error) {
 		return s.degradedLint(rr, reason)
 	})

@@ -182,7 +182,7 @@ func (l *LabeledGauge) write(w io.Writer, name string) {
 }
 
 // LabeledHistogram is a family of histograms distinguished by label
-// values (e.g. evaluation latency by endpoint and evaluation mode).
+// values (e.g. evaluation latency by endpoint).
 type LabeledHistogram struct {
 	labels []string
 	bounds []float64
@@ -280,10 +280,9 @@ type Metrics struct {
 	SnapshotWrites      *Counter
 	SnapshotWriteErrors *Counter
 	SnapshotAgeSeconds  *Gauge
-	// EvalLatency observes model-evaluation wall time by endpoint and the
-	// evaluation mode that actually ran ("compiled", "interpreted",
-	// "closed-form"); RequestLatency observes whole-request wall time
-	// (including cache hits).
+	// EvalLatency observes model-evaluation wall time by endpoint;
+	// RequestLatency observes whole-request wall time (including cache
+	// hits).
 	EvalLatency    *LabeledHistogram
 	RequestLatency *Histogram
 	// TuneCandidates counts candidate plans the tuner fast-tier scored;
@@ -333,7 +332,7 @@ func NewMetrics() *Metrics {
 		SnapshotWrites:      &Counter{},
 		SnapshotWriteErrors: &Counter{},
 		SnapshotAgeSeconds:  &Gauge{},
-		EvalLatency:         newLabeledHistogram(defLatencyBuckets(), "endpoint", "mode"),
+		EvalLatency:         newLabeledHistogram(defLatencyBuckets(), "endpoint"),
 		RequestLatency:      newHistogram(defLatencyBuckets()),
 		TuneCandidates:      &Counter{},
 		TunePhase:           newLabeledHistogram(defLatencyBuckets(), "phase"),
@@ -498,7 +497,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	writeHeader(w, "fsserve_tune_candidates_total", "counter", "Candidate plans scored by the auto-tuner's fast tier.")
 	fmt.Fprintf(w, "fsserve_tune_candidates_total %d\n", m.TuneCandidates.Value())
 
-	writeHeader(w, "fsserve_eval_seconds", "histogram", "Model evaluation latency in seconds, by endpoint and evaluation mode.")
+	writeHeader(w, "fsserve_eval_seconds", "histogram", "Model evaluation latency in seconds, by endpoint.")
 	m.EvalLatency.write(w, "fsserve_eval_seconds")
 	writeHeader(w, "fsserve_request_seconds", "histogram", "Whole-request latency in seconds.")
 	m.RequestLatency.write(w, "fsserve_request_seconds")

@@ -13,10 +13,10 @@ func TestMetricsPrometheusRendering(t *testing.T) {
 	m.Requests.With("/v1/analyze", "200").Add(7)
 	m.Requests.With("/v1/analyze", "400").Inc()
 	m.Requests.With("/healthz", "200").Inc()
-	m.EvalLatency.With("analyze", "compiled").Observe(0.25)
-	m.EvalLatency.With("analyze", "compiled").Observe(0.5)
-	m.EvalLatency.With("analyze", "compiled").Observe(42) // beyond the last bound → +Inf bucket only
-	m.EvalLatency.With("lint", "closed-form").Observe(0.001)
+	m.EvalLatency.With("analyze").Observe(0.25)
+	m.EvalLatency.With("analyze").Observe(0.5)
+	m.EvalLatency.With("analyze").Observe(42) // beyond the last bound → +Inf bucket only
+	m.EvalLatency.With("lint").Observe(0.001)
 
 	var sb strings.Builder
 	m.WritePrometheus(&sb)
@@ -32,21 +32,21 @@ func TestMetricsPrometheusRendering(t *testing.T) {
 		"# TYPE fsserve_queue_depth gauge",
 		"fsserve_queue_depth 3",
 		"# TYPE fsserve_eval_seconds histogram",
-		`fsserve_eval_seconds_bucket{endpoint="analyze",mode="compiled",le="0.25"} 1`, // le is inclusive
-		`fsserve_eval_seconds_bucket{endpoint="analyze",mode="compiled",le="0.5"} 2`,  // and cumulative
-		`fsserve_eval_seconds_bucket{endpoint="analyze",mode="compiled",le="10"} 2`,
-		`fsserve_eval_seconds_bucket{endpoint="analyze",mode="compiled",le="+Inf"} 3`,
-		`fsserve_eval_seconds_count{endpoint="analyze",mode="compiled"} 3`,
-		`fsserve_eval_seconds_sum{endpoint="analyze",mode="compiled"} 42.75`,
-		`fsserve_eval_seconds_bucket{endpoint="lint",mode="closed-form",le="0.001"} 1`,
-		`fsserve_eval_seconds_count{endpoint="lint",mode="closed-form"} 1`,
+		`fsserve_eval_seconds_bucket{endpoint="analyze",le="0.25"} 1`, // le is inclusive
+		`fsserve_eval_seconds_bucket{endpoint="analyze",le="0.5"} 2`,  // and cumulative
+		`fsserve_eval_seconds_bucket{endpoint="analyze",le="10"} 2`,
+		`fsserve_eval_seconds_bucket{endpoint="analyze",le="+Inf"} 3`,
+		`fsserve_eval_seconds_count{endpoint="analyze"} 3`,
+		`fsserve_eval_seconds_sum{endpoint="analyze"} 42.75`,
+		`fsserve_eval_seconds_bucket{endpoint="lint",le="0.001"} 1`,
+		`fsserve_eval_seconds_count{endpoint="lint"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}
 	}
 	// The buckets below every observation stay empty.
-	if !strings.Contains(out, `fsserve_eval_seconds_bucket{endpoint="analyze",mode="compiled",le="0.1"} 0`) {
+	if !strings.Contains(out, `fsserve_eval_seconds_bucket{endpoint="analyze",le="0.1"} 0`) {
 		t.Errorf("low bucket not empty:\n%s", out)
 	}
 	if t.Failed() {

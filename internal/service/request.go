@@ -49,12 +49,9 @@ type AnalyzeResponse struct {
 	Iterations     int64   `json:"iterations"`
 	FSPerIteration float64 `json:"fs_per_iteration"`
 	ChunkRuns      int64   `json:"chunk_runs"`
-	// EvalMode reports which evaluation pipeline produced the numbers
-	// ("compiled" or "interpreted"; empty on degraded responses).
 	// Extrapolated marks totals closed by the steady-state chunk-run
 	// extrapolation (exact; enabled by the server's -extrapolate flag).
-	EvalMode     string `json:"eval_mode,omitempty"`
-	Extrapolated bool   `json:"extrapolated,omitempty"`
+	Extrapolated bool `json:"extrapolated,omitempty"`
 	// TotalCycles is Equation 1's Total_c including the FS term.
 	TotalCycles float64         `json:"total_cycles"`
 	Victims     []repro.Victim  `json:"victims,omitempty"`
@@ -188,7 +185,6 @@ func (s *Server) resolve(req AnalyzeRequest) (resolved, error) {
 		Chunk:         req.Chunk,
 		MESICounting:  req.MESI,
 		TrackHotLines: req.HotLines,
-		Eval:          s.cfg.EvalMode,
 		Extrapolate:   s.cfg.Extrapolate,
 	}
 

@@ -238,7 +238,7 @@ func TestRetryAfterScalesWithQueueDepth(t *testing.T) {
 	}
 
 	// Occupy the single slot, then fill the queue with one waiter.
-	release, err := s.limiter.acquire(context.Background())
+	release, err := s.admit.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,12 +248,12 @@ func TestRetryAfterScalesWithQueueDepth(t *testing.T) {
 	waiterDone := make(chan struct{})
 	go func() {
 		defer close(waiterDone)
-		if rel, err := s.limiter.acquire(waiterCtx); err == nil {
+		if rel, err := s.admit.Acquire(waiterCtx); err == nil {
 			rel()
 		}
 	}()
 	deadline := time.Now().Add(2 * time.Second)
-	for s.limiter.stats().waiting != 1 {
+	for s.admit.Stats().Waiting != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("waiter never queued")
 		}

@@ -11,9 +11,9 @@
 //     responses for repeated requests;
 //   - in-flight deduplication (flight.go): N concurrent identical
 //     requests perform exactly one model evaluation;
-//   - admission control (limits.go): a bounded evaluation pool plus a
-//     bounded wait queue; beyond both, requests get 429 + Retry-After
-//     instead of queueing without bound;
+//   - admission control (internal/admission, used directly): a bounded,
+//     adaptive evaluation pool plus a bounded wait queue; beyond both,
+//     requests get 429 + Retry-After instead of queueing without bound;
 //   - hand-rolled Prometheus metrics (metrics.go) and structured request
 //     logs via log/slog;
 //   - HTTP handlers (handlers.go) for /v1/analyze, /v1/analyze/batch
@@ -107,11 +107,6 @@ type Config struct {
 	// BreakerProbeFraction is the fraction of requests admitted while
 	// half-open (0 = default 0.25).
 	BreakerProbeFraction float64
-	// EvalMode selects the model's evaluation pipeline for every request
-	// ("", "auto", "compiled", "interpreted"; the -eval flag). It is part
-	// of each request's cache key; an unknown spelling fails evaluations,
-	// so CLIs validate it at startup.
-	EvalMode string
 	// Extrapolate enables the steady-state chunk-run closure on eligible
 	// uniform loops (exact totals, surfaced as "extrapolated" in the
 	// response).
@@ -192,7 +187,7 @@ type Server struct {
 	metrics  *Metrics
 	cache    *resultCache
 	flight   *flightGroup
-	limiter  *limiter
+	admit    *admission.Controller
 	quotas   *admission.Quotas
 	snap     *snapshotManager
 	cluster  *serverCluster
@@ -219,7 +214,7 @@ func New(cfg Config) *Server {
 		jitter:  rand.New(rand.NewSource(cfg.Seed)),
 	}
 	s.cache = newResultCache(cfg.CacheEntries, s.metrics.CacheEntries)
-	s.limiter = newLimiterWith(admission.Config{
+	s.admit = admission.New(admission.Config{
 		MaxConcurrent: cfg.MaxConcurrent,
 		MaxQueue:      cfg.MaxQueue,
 		OnQueueDepth:  func(d int) { s.metrics.QueueDepth.Set(int64(d)) },

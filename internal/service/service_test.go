@@ -288,7 +288,7 @@ func TestBatchValidation(t *testing.T) {
 func TestBackpressure429(t *testing.T) {
 	s := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: 1})
 	// Occupy the only evaluation slot directly.
-	release, err := s.limiter.acquire(context.Background())
+	release, err := s.admit.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,47 +344,29 @@ func TestKernelsEndpoint(t *testing.T) {
 	}
 }
 
-func TestAnalyzeEvalModeField(t *testing.T) {
-	for _, tc := range []struct {
-		cfgMode string
-		want    string
-	}{
-		{"", "compiled"},     // auto resolves to the plan compiler
-		{"auto", "compiled"}, // explicit spelling, same resolution
-		{"compiled", "compiled"},
-		{"interpreted", "interpreted"},
-	} {
-		s := newTestServer(t, Config{EvalMode: tc.cfgMode})
-		w := post(t, s, "/v1/analyze", AnalyzeRequest{Source: victimSrc})
-		if w.Code != 200 {
-			t.Fatalf("cfg %q: status = %d: %s", tc.cfgMode, w.Code, w.Body.String())
-		}
-		resp := decodeAnalyze(t, w)
-		if resp.EvalMode != tc.want {
-			t.Errorf("cfg %q: eval_mode = %q, want %q", tc.cfgMode, resp.EvalMode, tc.want)
-		}
-		if resp.Extrapolated {
-			t.Errorf("cfg %q: extrapolated without the server flag", tc.cfgMode)
-		}
-	}
-}
-
-func TestEvalModePartOfCacheKey(t *testing.T) {
-	// The same request against servers in different eval modes must not
-	// share canonical keys: a shared external cache keyed on our key
-	// would otherwise mix pipelines.
-	sc := newTestServer(t, Config{EvalMode: "compiled"})
-	si := newTestServer(t, Config{EvalMode: "interpreted"})
-	rc, err := sc.resolve(AnalyzeRequest{Source: victimSrc})
+func TestExtrapolatePartOfCacheKey(t *testing.T) {
+	// Extrapolation is the one server-wide model setting: requests served
+	// with and without it must not share canonical keys, and a default
+	// server never reports an extrapolated total.
+	plain := newTestServer(t, Config{})
+	extrap := newTestServer(t, Config{Extrapolate: true})
+	rp, err := plain.resolve(AnalyzeRequest{Source: victimSrc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ri, err := si.resolve(AnalyzeRequest{Source: victimSrc})
+	re, err := extrap.resolve(AnalyzeRequest{Source: victimSrc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.key == ri.key {
-		t.Fatal("compiled and interpreted requests share a cache key")
+	if rp.key == re.key {
+		t.Fatal("extrapolated and plain requests share a cache key")
+	}
+	w := post(t, plain, "/v1/analyze", AnalyzeRequest{Source: victimSrc})
+	if w.Code != 200 {
+		t.Fatalf("status = %d: %s", w.Code, w.Body.String())
+	}
+	if decodeAnalyze(t, w).Extrapolated {
+		t.Error("extrapolated without the server flag")
 	}
 }
 
@@ -413,7 +395,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`fsserve_requests_total{endpoint="/v1/analyze",code="200"} 1`,
 		"fsserve_evaluations_total 1",
 		"fsserve_cache_entries 1",
-		`fsserve_eval_seconds_count{endpoint="analyze",mode="compiled"} 1`,
+		`fsserve_eval_seconds_count{endpoint="analyze"} 1`,
 	} {
 		if !strings.Contains(w.Body.String(), want) {
 			t.Errorf("metrics missing %q:\n%s", want, w.Body.String())

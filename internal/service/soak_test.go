@@ -142,7 +142,7 @@ func TestOverloadSoak(t *testing.T) {
 
 	m := s.Metrics()
 	decreases := m.LimitChanges.With("decrease").Value()
-	limitUnderLoad := s.limiter.stats().limit
+	limitUnderLoad := s.admit.Stats().Limit
 	if decreases == 0 {
 		t.Errorf("no limit decreases under 10ms evaluations against a sub-ms baseline")
 	}
@@ -150,7 +150,7 @@ func TestOverloadSoak(t *testing.T) {
 		t.Errorf("admission limit = %v under sustained degradation, want below the ceiling %d", limitUnderLoad, ceiling)
 	}
 	if g := m.AdmissionLimit.Value(); g != int64(limitUnderLoad) {
-		t.Errorf("fsserve_admission_limit gauge = %d, limiter reports %v", g, limitUnderLoad)
+		t.Errorf("fsserve_admission_limit gauge = %d, controller reports %v", g, limitUnderLoad)
 	}
 
 	// Bounded admitted tail: with the limit shed to the floor the queue
@@ -167,10 +167,10 @@ func TestOverloadSoak(t *testing.T) {
 	// adaptation batch).
 	faultinject.Arm("service.evaluate", faultinject.Fault{Kind: faultinject.KindDelay, Delay: baseDelay, Probability: 1})
 	recoverBy := time.Now().Add(15 * time.Second)
-	for s.limiter.stats().limit != ceiling && time.Now().Before(recoverBy) {
+	for s.admit.Stats().Limit != ceiling && time.Now().Before(recoverBy) {
 		postNext(nil)
 	}
-	if got := s.limiter.stats().limit; got != ceiling {
+	if got := s.admit.Stats().Limit; got != ceiling {
 		t.Errorf("limit = %v after recovery, want back at the ceiling %d", got, ceiling)
 	}
 	if m.LimitChanges.With("increase").Value() == 0 {
@@ -252,7 +252,7 @@ func TestDeadlineEvictionRetryAfter(t *testing.T) {
 
 	// Hold the only slot, then ask for an answer within 20ms: the queue
 	// cannot possibly deliver in time, so admission evicts immediately.
-	release, err := s.limiter.acquire(t.Context())
+	release, err := s.admit.Acquire(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

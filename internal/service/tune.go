@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/faultinject"
-	"repro/internal/fsmodel"
 	"repro/internal/guard"
 	"repro/internal/kernels"
 	"repro/internal/loopir"
@@ -23,9 +22,9 @@ import (
 // TuneRequest is the body of POST /v1/tune: run the cost-model-guided
 // auto-tuner over one source and return the chosen transformation plan,
 // the transformed source and the full search report. Exactly one of
-// Source and Kernel must be set. The server's evaluation mode and
-// extrapolation settings apply to the simulator verification tier and
-// are part of the cache key.
+// Source and Kernel must be set. The server's extrapolation setting
+// applies to the simulator verification tier and is part of the cache
+// key.
 type TuneRequest struct {
 	Source string `json:"source,omitempty"`
 	Kernel string `json:"kernel,omitempty"`
@@ -130,9 +129,9 @@ func (s *Server) resolveTune(req TuneRequest) (tuneResolved, error) {
 		file = "<kernel:" + req.Kernel + ">"
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "tune/v1\x00machine=%s;threads=%d;chunk=%d;nest=%d;beam=%d;maxcand=%d;eval=%s;extrap=%t\x00",
+	fmt.Fprintf(h, "tune/v1\x00machine=%s;threads=%d;chunk=%d;nest=%d;beam=%d;maxcand=%d;extrap=%t\x00",
 		mach.Name, req.Threads, req.Chunk, req.Nest, req.Beam, req.MaxCandidates,
-		s.cfg.EvalMode, s.cfg.Extrapolate)
+		s.cfg.Extrapolate)
 	h.Write([]byte(src))
 	return tuneResolved{
 		req:  req,
@@ -169,7 +168,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	body, source, err := s.guarded(ctx, endpointTune, rr.key, s.clusterRouteFor(r, "/v1/tune", req), func(ctx context.Context) ([]byte, string, error) {
+	body, source, err := s.guarded(ctx, endpointTune, rr.key, s.clusterRouteFor(r, "/v1/tune", req), func(ctx context.Context) ([]byte, error) {
 		return s.evaluateTune(ctx, rr)
 	}, func(reason string) ([]byte, error) {
 		return s.degradedTune(rr, reason)
@@ -187,13 +186,9 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 // problems the resolver cannot see (unparsable source, sequential nest,
 // symbolic bounds) surface as 400s via tuner.InputError; budget trips,
 // panics and deadline expiry flow to guarded, which degrades.
-func (s *Server) evaluateTune(ctx context.Context, rr tuneResolved) ([]byte, string, error) {
+func (s *Server) evaluateTune(ctx context.Context, rr tuneResolved) ([]byte, error) {
 	if err := faultinject.Fire("service.evaluate"); err != nil {
-		return nil, "", err
-	}
-	eval, err := fsmodel.EvalModeFromString(s.cfg.EvalMode)
-	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	res, err := tuner.Tune(ctx, rr.src, tuner.Options{
 		Machine:       rr.mach,
@@ -202,7 +197,6 @@ func (s *Server) evaluateTune(ctx context.Context, rr tuneResolved) ([]byte, str
 		Nest:          rr.req.Nest,
 		Beam:          rr.req.Beam,
 		MaxCandidates: rr.req.MaxCandidates,
-		Eval:          eval,
 		Extrapolate:   s.cfg.Extrapolate,
 		Budget:        s.evalBudget(ctx),
 		KeepHeader:    true,
@@ -210,16 +204,15 @@ func (s *Server) evaluateTune(ctx context.Context, rr tuneResolved) ([]byte, str
 	if err != nil {
 		var ie *tuner.InputError
 		if errors.As(err, &ie) {
-			return nil, "", &apiError{status: http.StatusBadRequest, msg: ie.Msg}
+			return nil, &apiError{status: http.StatusBadRequest, msg: ie.Msg}
 		}
-		return nil, "", err
+		return nil, err
 	}
 	s.metrics.TuneCandidates.Add(int64(len(res.Candidates)))
 	for _, p := range res.Phases {
 		s.metrics.TunePhase.With(p.Name).Observe(p.Seconds)
 	}
-	body, err := json.Marshal(TuneResponse{File: rr.file, Report: res})
-	return body, res.EvalMode, err
+	return json.Marshal(TuneResponse{File: rr.file, Report: res})
 }
 
 // degradedTune answers a tune request without the search: the

@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/fsmodel"
 	"repro/internal/minic"
 )
 
@@ -22,7 +21,7 @@ func benchSearch(b *testing.B, file string) (*search, Plan) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := Options{Eval: fsmodel.EvalCompiled}.withDefaults()
+	opts := Options{}.withDefaults()
 	prog, err := minic.Parse(string(src))
 	if err != nil {
 		b.Fatal(err)
@@ -77,7 +76,7 @@ func BenchmarkTuneEndToEnd(b *testing.B) {
 		b.Run(file, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Tune(context.Background(), string(src), Options{Eval: fsmodel.EvalCompiled}); err != nil {
+				if _, err := Tune(context.Background(), string(src), Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,7 +3,7 @@ package tuner
 // The differential acceptance gate (ISSUE 7): for every kernel in
 // examples/tune/, the emitted transformed source must (1) re-parse, (2)
 // re-lint to zero FS001/FS002 findings, and (3) re-simulate under
-// Options.Eval=compiled to a strictly lower FS count than the input —
+// the fsmodel simulator to a strictly lower FS count than the input —
 // with a no-op permitted only for the padded-clean kernel.
 
 import (
@@ -30,7 +30,6 @@ func simulateFS(t *testing.T, src string, nestIdx int) int64 {
 	}
 	res, err := fsmodel.Analyze(unit.Nests[nestIdx], fsmodel.Options{
 		Machine: m,
-		Eval:    fsmodel.EvalCompiled,
 	})
 	if err != nil {
 		t.Fatalf("simulate: %v", err)
@@ -72,7 +71,7 @@ func TestDifferentialAcceptance(t *testing.T) {
 	for _, f := range files {
 		name := filepath.Base(f)
 		t.Run(name, func(t *testing.T) {
-			res := tuneExample(t, name, Options{Eval: fsmodel.EvalCompiled, KeepHeader: true})
+			res := tuneExample(t, name, Options{KeepHeader: true})
 
 			// (1) The emitted source re-parses, and (2) lints clean.
 			if findings := lintFindings(t, res.Source); len(findings) != 0 {

@@ -13,8 +13,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/fsmodel"
 )
 
 type goldenPlan struct {
@@ -55,7 +53,7 @@ func TestGoldenPlans(t *testing.T) {
 	golden := loadGolden(t)
 	for name, want := range golden {
 		t.Run(name, func(t *testing.T) {
-			res := tuneExample(t, name, Options{Eval: fsmodel.EvalCompiled})
+			res := tuneExample(t, name, Options{})
 			if res.PlanSummary != want.Plan {
 				t.Errorf("chosen plan %q, want %q", res.PlanSummary, want.Plan)
 			}
@@ -91,8 +89,8 @@ func TestGoldenReportStability(t *testing.T) {
 		r.Phases = nil
 	}
 	for _, name := range []string{"heat.c", "linreg.c"} {
-		a := tuneExample(t, name, Options{Eval: fsmodel.EvalCompiled})
-		b := tuneExample(t, name, Options{Eval: fsmodel.EvalCompiled})
+		a := tuneExample(t, name, Options{})
+		b := tuneExample(t, name, Options{})
 		strip(a)
 		strip(b)
 		ja, err := json.Marshal(a)

@@ -30,7 +30,6 @@ type scoredPlan struct {
 	chunkOverride int64
 	races         int // RC001 findings: true sharing the plan would create
 	verifyErr     error
-	evalMode      string
 }
 
 type search struct {
@@ -393,7 +392,6 @@ func (s *search) verify(ctx context.Context, sp *scoredPlan) {
 			Machine:     s.opts.Machine,
 			NumThreads:  s.opts.Threads,
 			Chunk:       sp.chunkOverride,
-			Eval:        s.opts.Eval,
 			Extrapolate: s.opts.Extrapolate,
 			Budget:      budgetUnder(ctx, s.opts.Budget),
 		})
@@ -411,7 +409,6 @@ func (s *search) verify(ctx context.Context, sp *scoredPlan) {
 	sp.cand.SimulatedFS = simRes.FSCases
 	sp.cand.SimulatedCycles = base.TotalWithFS(simRes.FSCases, s.opts.Machine, simRes.Plan.NumThreads)
 	sp.cand.FSDelta = simRes.FSCases - sp.cand.ClosedFormFS
-	sp.evalMode = simRes.Eval.String()
 }
 
 // budgetUnder merges the context deadline into the configured budget so

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/fsmodel"
 	"repro/internal/guard"
 	"repro/internal/loopir"
 	"repro/internal/machine"
@@ -44,8 +43,6 @@ type Options struct {
 	MaxCandidates int
 	// Jobs bounds verification parallelism (0 = GOMAXPROCS).
 	Jobs int
-	// Eval selects the simulator pipeline for the exact tier.
-	Eval fsmodel.EvalMode
 	// Extrapolate enables steady-state chunk-run extrapolation.
 	Extrapolate bool
 	// Budget bounds each simulator verification (zero = unlimited).
@@ -139,7 +136,6 @@ type Result struct {
 	Candidates []Candidate `json:"candidates,omitempty"`
 	Rejected   []Rejection `json:"rejected,omitempty"`
 	Phases     []Phase     `json:"phases"`
-	EvalMode   string      `json:"eval_mode,omitempty"`
 	Warnings   []string    `json:"warnings,omitempty"`
 }
 
@@ -206,7 +202,6 @@ func Tune(ctx context.Context, src string, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("tuner: baseline verification: %w", baseline.verifyErr)
 	}
 	res.Phases = append(res.Phases, Phase{Name: "verify", Seconds: time.Since(start).Seconds()})
-	res.EvalMode = baseline.evalMode
 	res.Baseline = baseline.cand
 	for _, sp := range finalists {
 		res.Candidates = appendUpdated(res.Candidates, sp.cand)

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fsmodel"
 	"repro/internal/guard"
 )
 
@@ -45,7 +44,7 @@ func TestTuneInputErrors(t *testing.T) {
 }
 
 func TestTuneRemovesAccumulatorFS(t *testing.T) {
-	res, err := Tune(context.Background(), fsSource, Options{Eval: fsmodel.EvalCompiled})
+	res, err := Tune(context.Background(), fsSource, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func TestTuneRemovesAccumulatorFS(t *testing.T) {
 		t.Fatalf("expected a fully clean plan, got %q with FS %d (warnings %v)",
 			res.PlanSummary, res.Chosen.SimulatedFS, res.Warnings)
 	}
-	if _, err := Tune(context.Background(), res.Source, Options{Eval: fsmodel.EvalCompiled}); err != nil {
+	if _, err := Tune(context.Background(), res.Source, Options{}); err != nil {
 		t.Fatalf("emitted source does not re-tune: %v", err)
 	}
 	// Rank invariants: chosen cycles never exceed any other verified
@@ -87,7 +86,7 @@ func TestTuneRemovesAccumulatorFS(t *testing.T) {
 // TestTuneChunkOverride: an explicit baseline chunk override must shape
 // the baseline but not shadow candidate schedule rewrites.
 func TestTuneChunkOverride(t *testing.T) {
-	res, err := Tune(context.Background(), fsSource, Options{Chunk: 2, Eval: fsmodel.EvalCompiled})
+	res, err := Tune(context.Background(), fsSource, Options{Chunk: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +109,6 @@ func TestTuneBudgetExceeded(t *testing.T) {
 		t.Fatal(rerr)
 	}
 	_, err := Tune(context.Background(), string(src), Options{
-		Eval:   fsmodel.EvalCompiled,
 		Budget: guard.Budget{MaxSteps: 1},
 	})
 	if err == nil {
@@ -125,7 +123,7 @@ func TestTuneBudgetExceeded(t *testing.T) {
 func TestTuneContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := Tune(ctx, fsSource, Options{Eval: fsmodel.EvalCompiled})
+	_, err := Tune(ctx, fsSource, Options{})
 	if err == nil {
 		t.Fatal("expected an error from the expired deadline")
 	}
@@ -144,7 +142,7 @@ for (i = 0; i < 8; i++) {
     a[i] = 1.0;
 }
 `
-	res, err := Tune(context.Background(), src, Options{Eval: fsmodel.EvalCompiled})
+	res, err := Tune(context.Background(), src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +152,7 @@ for (i = 0; i < 8; i++) {
 	if res.Baseline.SimulatedFS > 0 && len(res.Warnings) == 0 {
 		t.Error("no-op on an FS-positive input must carry a warning")
 	}
-	if _, err := Tune(context.Background(), res.Source, Options{Eval: fsmodel.EvalCompiled}); err != nil {
+	if _, err := Tune(context.Background(), res.Source, Options{}); err != nil {
 		t.Fatalf("no-op source does not re-tune: %v", err)
 	}
 }
@@ -176,7 +174,7 @@ for (k = 0; k < 64; k++) {
     }
 }
 `
-	res, err := Tune(context.Background(), src, Options{Eval: fsmodel.EvalCompiled})
+	res, err := Tune(context.Background(), src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,13 +137,6 @@ type Options struct {
 	// checks — the Deadline dimension alone depends on the clock). A
 	// budget never changes the result of a run it does not abort.
 	Budget guard.Budget
-	// Eval selects the evaluation pipeline: "auto" (or empty — compile
-	// the nest into an access-run plan, falling back to the interpreter
-	// when it cannot be compiled), "compiled" (demand the compiled
-	// executor; error if unavailable) or "interpreted" (the original
-	// per-iteration reference evaluator). All pipelines produce
-	// bit-identical counts; they differ only in speed.
-	Eval string
 	// Extrapolate lets eligible uniform loops stop simulating once their
 	// per-chunk-run counter deltas are provably periodic and close the
 	// remaining runs arithmetically. Exact (the differential suite
@@ -162,9 +155,9 @@ type Options struct {
 // reason: it can only abort a run, never alter the values a completed
 // run computes, and aborted runs are never cached.
 func (o Options) CanonicalKey() string {
-	return fmt.Sprintf("machine=%s;threads=%d;chunk=%d;mesi=%t;stackdepth=%d;bus=%t;hotlines=%t;eval=%s;extrap=%t",
+	return fmt.Sprintf("machine=%s;threads=%d;chunk=%d;mesi=%t;stackdepth=%d;bus=%t;hotlines=%t;extrap=%t",
 		o.Machine.Name(), o.Threads, o.Chunk, o.MESICounting, o.StackDepth, o.BusContention, o.TrackHotLines,
-		o.evalName(), o.Extrapolate)
+		o.Extrapolate)
 }
 
 func (o Options) counting() fsmodel.CountingMode {
@@ -172,19 +165,6 @@ func (o Options) counting() fsmodel.CountingMode {
 		return fsmodel.CountMESI
 	}
 	return fsmodel.CountPaperPhi
-}
-
-// evalName normalizes the Eval spelling for the canonical key ("auto"
-// for empty; unknown spellings pass through and fail at evaluation).
-func (o Options) evalName() string {
-	if o.Eval == "" {
-		return "auto"
-	}
-	return o.Eval
-}
-
-func (o Options) evalMode() (fsmodel.EvalMode, error) {
-	return fsmodel.EvalModeFromString(o.Eval)
 }
 
 // Program is a parsed and lowered mini-C translation unit.
@@ -279,9 +259,6 @@ type Analysis struct {
 	// HotLines lists the most-contended cache lines (top 10), present when
 	// Options.TrackHotLines is set.
 	HotLines []HotLine
-	// Eval reports which evaluation pipeline actually ran ("compiled" or
-	// "interpreted"; Options.Eval "auto" resolves to one of them).
-	Eval string
 	// Extrapolated reports that the steady-state closure produced the
 	// totals from a simulated prefix (Options.Extrapolate).
 	Extrapolated bool
@@ -309,10 +286,6 @@ func (p *Program) Analyze(i int, opts Options) (*Analysis, error) {
 		return nil, err
 	}
 	m := opts.Machine.resolve()
-	eval, err := opts.evalMode()
-	if err != nil {
-		return nil, err
-	}
 	res, err := fsmodel.Analyze(n, fsmodel.Options{
 		Machine:       m,
 		NumThreads:    opts.Threads,
@@ -321,7 +294,6 @@ func (p *Program) Analyze(i int, opts Options) (*Analysis, error) {
 		Counting:      opts.counting(),
 		TrackHotLines: opts.TrackHotLines,
 		Budget:        opts.Budget,
-		Eval:          eval,
 		Extrapolate:   opts.Extrapolate,
 	})
 	if err != nil {
@@ -335,7 +307,6 @@ func (p *Program) Analyze(i int, opts Options) (*Analysis, error) {
 		Threads:        res.Plan.NumThreads,
 		Chunk:          res.Plan.Chunk,
 		SkippedRefs:    res.SkippedRefs,
-		Eval:           res.Eval.String(),
 		Extrapolated:   res.Extrapolated,
 	}
 	for _, v := range res.Victims() {
@@ -378,10 +349,6 @@ func (p *Program) AnalyzeRate(i int, opts Options, runs int64) (*RateReport, err
 	if err != nil {
 		return nil, err
 	}
-	eval, err := opts.evalMode()
-	if err != nil {
-		return nil, err
-	}
 	res, err := fsmodel.AnalyzeRate(n, fsmodel.Options{
 		Machine:    opts.Machine.resolve(),
 		NumThreads: opts.Threads,
@@ -389,7 +356,6 @@ func (p *Program) AnalyzeRate(i int, opts Options, runs int64) (*RateReport, err
 		StackDepth: opts.StackDepth,
 		Counting:   opts.counting(),
 		Budget:     opts.Budget,
-		Eval:       eval,
 	}, runs)
 	if err != nil {
 		return nil, err
@@ -423,10 +389,6 @@ func (p *Program) Predict(i int, opts Options, sampleRuns int64) (*Prediction, e
 	if err != nil {
 		return nil, err
 	}
-	eval, err := opts.evalMode()
-	if err != nil {
-		return nil, err
-	}
 	pred, err := fsmodel.Predict(n, fsmodel.Options{
 		Machine:    opts.Machine.resolve(),
 		NumThreads: opts.Threads,
@@ -434,7 +396,6 @@ func (p *Program) Predict(i int, opts Options, sampleRuns int64) (*Prediction, e
 		StackDepth: opts.StackDepth,
 		Counting:   opts.counting(),
 		Budget:     opts.Budget,
-		Eval:       eval,
 	}, sampleRuns)
 	if err != nil {
 		return nil, err
@@ -518,10 +479,6 @@ func (p *Program) EstimateCost(i int, opts Options) (*CostReport, error) {
 		return nil, err
 	}
 	m := opts.Machine.resolve()
-	eval, err := opts.evalMode()
-	if err != nil {
-		return nil, err
-	}
 	res, err := fsmodel.Analyze(n, fsmodel.Options{
 		Machine:     m,
 		NumThreads:  opts.Threads,
@@ -529,7 +486,6 @@ func (p *Program) EstimateCost(i int, opts Options) (*CostReport, error) {
 		StackDepth:  opts.StackDepth,
 		Counting:    opts.counting(),
 		Budget:      opts.Budget,
-		Eval:        eval,
 		Extrapolate: opts.Extrapolate,
 	})
 	if err != nil {
@@ -700,10 +656,6 @@ type PaddingAdvice struct {
 // prices the transformation with the combined cost model: FS savings
 // against footprint growth.
 func (p *Program) EvaluatePadding(i int, opts Options) (*PaddingAdvice, error) {
-	eval, err := opts.evalMode()
-	if err != nil {
-		return nil, err
-	}
 	d, err := transform.EvaluatePadding(p.unit.Prog, i, fsmodel.Options{
 		Machine:     opts.Machine.resolve(),
 		NumThreads:  opts.Threads,
@@ -711,7 +663,6 @@ func (p *Program) EvaluatePadding(i int, opts Options) (*PaddingAdvice, error) {
 		StackDepth:  opts.StackDepth,
 		Counting:    opts.counting(),
 		Budget:      opts.Budget,
-		Eval:        eval,
 		Extrapolate: opts.Extrapolate,
 	})
 	if err != nil {

@@ -56,14 +56,36 @@ func (b Breakdown) PerIter() float64 {
 }
 
 // TotalWithFS applies Equation 1: base cost plus the false-sharing term.
-// fsCases is the modeled N_fs; the penalty per case is the machine's
-// cache-to-cache coherence latency, spread over the thread team (FS misses
-// are incurred concurrently on different cores).
+// fsCases is the modeled N_fs (FSWallCycles prices it).
 func (b Breakdown) TotalWithFS(fsCases int64, m *machine.Desc, threads int) float64 {
-	return b.BaseWallCycles + fsWallCycles(fsCases, m, threads)
+	return b.BaseWallCycles + FSWallCycles(fsCases, m, threads)
 }
 
-func fsWallCycles(fsCases int64, m *machine.Desc, threads int) float64 {
+// Work is the loop's aggregate cost in cycles summed over the thread
+// team: the per-iteration cost of every iteration plus the parallel
+// overhead. It is Total_c before the FS term in the aggregate form that
+// FSShare and the experiment tables' normalization use.
+func (b Breakdown) Work() float64 {
+	return b.PerIter()*float64(b.TotalIterations) + b.ParallelOverhead
+}
+
+// FSShare is the FS term's share of Total_c in aggregate form: fsCases
+// undivided coherence penalties over Work plus those penalties, or 0 when
+// both are zero.
+func (b Breakdown) FSShare(fsCases int64, m *machine.Desc) float64 {
+	fsWork := float64(fsCases) * float64(m.CoherenceLatency)
+	total := b.Work() + fsWork
+	if total <= 0 {
+		return 0
+	}
+	return fsWork / total
+}
+
+// FSWallCycles is Equation 1's FS term in wall cycles: one cache-to-cache
+// coherence transfer per case, spread over the thread team (FS misses are
+// incurred concurrently on different cores). fsvet (internal/govet) uses
+// it directly to price a closed-form straddle count.
+func FSWallCycles(fsCases int64, m *machine.Desc, threads int) float64 {
 	if threads < 1 {
 		threads = 1
 	}
@@ -342,28 +364,4 @@ func parallelInstances(nest *loopir.Nest) int64 {
 		}
 	}
 	return n
-}
-
-// ModeledFSPercent evaluates the paper's Equation 5 right-hand side: the
-// modeled share of execution time lost to false sharing,
-//
-//	(N_fs − N_nfs) / Ñ_fs
-//
-// where the normalization Ñ_fs converts FS counts into time: N_fs scaled
-// by the coherence penalty, measured against the total modeled runtime of
-// the FS-suffering loop (Equation 1's Total_c).
-func ModeledFSPercent(base Breakdown, nfs, nnfs int64, m *machine.Desc, threads int) float64 {
-	total := base.TotalWithFS(nfs, m, threads)
-	if total <= 0 {
-		return 0
-	}
-	delta := fsWallCycles(nfs, m, threads) - fsWallCycles(nnfs, m, threads)
-	return delta / total
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -258,29 +258,49 @@ for (i = 0; i < 8; i++) a[i] = 1.0;
 	}
 }
 
-func TestModeledFSPercent(t *testing.T) {
-	m := machine.Paper48()
+// TestWorkAndFSShare pins Equation 1's aggregate form: Work is the
+// per-iteration cost of every iteration plus the parallel overhead, and
+// FSShare is N_fs undivided coherence penalties over Work plus those
+// penalties.
+func TestWorkAndFSShare(t *testing.T) {
+	m := *machine.Paper48()
+	m.CoherenceLatency = 100
+	b := Breakdown{
+		MachinePerIter:      2,
+		CachePerIter:        1.5,
+		TLBPerIter:          0.25,
+		LoopOverheadPerIter: 0.25,
+		ParallelOverhead:    1000,
+		TotalIterations:     1000,
+		BaseWallCycles:      1e9, // the wall form plays no part
+	}
+	if got := b.Work(); got != 5000 {
+		t.Fatalf("Work = %v, want 4 cycles/iter × 1000 iters + 1000 = 5000", got)
+	}
+	if got := b.FSShare(50, &m); got != 0.5 {
+		t.Fatalf("FSShare(50) = %v, want 5000/(5000+5000) = 0.5", got)
+	}
+	if got := b.FSShare(0, &m); got != 0 {
+		t.Fatalf("FSShare(0) = %v, want 0", got)
+	}
+	if got := (Breakdown{}).FSShare(0, &m); got != 0 {
+		t.Fatalf("empty FSShare = %v, want 0", got)
+	}
+
+	// On a real estimate the share grows with N_fs and stays below 1.
 	nest := loadNest(t, `
 #define N 10000
 double a[N];
 #pragma omp parallel for
 for (i = 0; i < N; i++) a[i] += 1.0;
 `)
-	plan := sched.Plan{Kind: sched.Static, NumThreads: 8, Chunk: 1}
-	bd, err := Estimate(nest, m, plan)
+	bd, err := Estimate(nest, machine.Paper48(), sched.Plan{Kind: sched.Static, NumThreads: 8, Chunk: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := ModeledFSPercent(bd, 9000, 100, m, 8)
-	if p <= 0 || p >= 1 {
-		t.Fatalf("percent = %f", p)
-	}
-	if ModeledFSPercent(bd, 100, 100, m, 8) != 0 {
-		t.Fatal("equal counts should give 0%")
-	}
-	// More FS → larger share.
-	if ModeledFSPercent(bd, 20000, 0, m, 8) <= p {
-		t.Fatal("percent should grow with FS count")
+	lo, hi := bd.FSShare(100, machine.Paper48()), bd.FSShare(9000, machine.Paper48())
+	if lo <= 0 || hi <= lo || hi >= 1 {
+		t.Fatalf("FSShare(100) = %v, FSShare(9000) = %v, want 0 < lo < hi < 1", lo, hi)
 	}
 }
 

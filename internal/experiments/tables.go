@@ -142,6 +142,5 @@ func normalizationFor(cfg Config, kern *kernels.Kernel, plan sched.Plan, nfs int
 		return 0, err
 	}
 	coher := float64(cfg.Machine.CoherenceLatency)
-	totalWork := base.PerIter()*float64(base.TotalIterations) + base.ParallelOverhead
-	return (totalWork + float64(nfs)*coher) / coher, nil
+	return (base.Work() + float64(nfs)*coher) / coher, nil
 }

@@ -317,9 +317,10 @@ func (s *Server) serveCached(ctx context.Context, endpoint, key string, eval fun
 	return out.body, out.source, nil
 }
 
-// evaluate runs the full pipeline for one resolved request: parse →
-// analyze → Equation 1 cost → optional chunk recommendation, under the
-// configured evaluation budget and the request deadline.
+// evaluate runs the full pipeline for one resolved request: parse → one
+// model run (FS model plus Equation 1 cost) → optional chunk
+// recommendation (one more run per candidate), under the configured
+// evaluation budget and the request deadline.
 func (s *Server) evaluate(ctx context.Context, rr resolved) (*AnalyzeResponse, error) {
 	if err := faultinject.Fire("service.evaluate"); err != nil {
 		return nil, err
@@ -347,9 +348,8 @@ func (s *Server) evaluate(ctx context.Context, rr resolved) (*AnalyzeResponse, e
 	if err != nil {
 		return nil, err
 	}
-	cost, err := prog.EstimateCost(rr.req.Nest, rr.opts)
-	if err != nil {
-		return nil, err
+	if a.CostErr != nil {
+		return nil, a.CostErr
 	}
 	resp := &AnalyzeResponse{
 		Nest:           rr.req.Nest,
@@ -361,7 +361,7 @@ func (s *Server) evaluate(ctx context.Context, rr resolved) (*AnalyzeResponse, e
 		FSPerIteration: a.FSPerIteration,
 		ChunkRuns:      a.ChunkRuns,
 		Extrapolated:   a.Extrapolated,
-		TotalCycles:    cost.TotalWallCycles,
+		TotalCycles:    a.TotalCycles,
 		Victims:        a.Victims,
 		HotLines:       a.HotLines,
 		SkippedRefs:    a.SkippedRefs,

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/faultinject"
 	"repro/internal/kernels"
 )
 
@@ -341,6 +342,56 @@ func TestKernelsEndpoint(t *testing.T) {
 	}
 	if fmt.Sprint(resp["machines"]) != "[paper48 smalltest modern16]" {
 		t.Errorf("machines = %v", resp["machines"])
+	}
+}
+
+// TestModelRunsPerAnswer counts model runs the way the dedup tests count
+// evaluations: an analyze miss is one run, a recommend miss one more per
+// default candidate, a hit none.
+func TestModelRunsPerAnswer(t *testing.T) {
+	faultinject.Enable()
+	defer faultinject.Reset()
+	s := newTestServer(t, Config{})
+	for _, c := range []struct {
+		name  string
+		req   AnalyzeRequest
+		cache string
+		want  int64
+	}{
+		{"analyze miss", AnalyzeRequest{Source: victimSrc}, "miss", 1},
+		{"recommend miss", AnalyzeRequest{Source: victimSrc, Recommend: true}, "miss", 1 + 8},
+		{"hit", AnalyzeRequest{Source: victimSrc, Recommend: true}, "hit", 0},
+	} {
+		faultinject.Arm("repro.evaluate", faultinject.Fault{Kind: faultinject.KindDelay})
+		w := post(t, s, "/v1/analyze", c.req)
+		if w.Code != 200 || w.Header().Get("X-Cache") != c.cache {
+			t.Fatalf("%s: status=%d X-Cache=%q, want 200/%s", c.name, w.Code, w.Header().Get("X-Cache"), c.cache)
+		}
+		if got := faultinject.Fired("repro.evaluate"); got != c.want {
+			t.Errorf("%s ran the model %d times, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestCostModelRejectionDegrades: a nest the base cost models cannot
+// price (an inner bound on the outer variable) fails the evaluation as an
+// internal error, answered from the closed form and never cached.
+func TestCostModelRejectionDegrades(t *testing.T) {
+	const triangle = `
+double a[64][64];
+#pragma omp parallel for schedule(static,1) num_threads(8)
+for (i = 0; i < 64; i++)
+    for (j = i; j < 64; j++) a[i][j] += 1.0;
+`
+	s := newTestServer(t, Config{})
+	for range 2 {
+		w := post(t, s, "/v1/analyze", AnalyzeRequest{Source: triangle})
+		if w.Code != 200 || w.Header().Get("X-Cache") != "degraded" {
+			t.Fatalf("status=%d X-Cache=%q, want 200/degraded", w.Code, w.Header().Get("X-Cache"))
+		}
+		if resp := decodeAnalyze(t, w); resp.DegradedReason != "internal" || resp.FSCases != 0 || resp.TotalCycles != 0 {
+			t.Fatalf("response = %+v, want an internal-degraded closed-form answer", resp)
+		}
 	}
 }
 

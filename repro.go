@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/costmodel"
+	"repro/internal/faultinject"
 	"repro/internal/fsmodel"
 	"repro/internal/guard"
 	"repro/internal/interp"
@@ -160,11 +161,22 @@ func (o Options) CanonicalKey() string {
 		o.Extrapolate)
 }
 
-func (o Options) counting() fsmodel.CountingMode {
+// model returns the FS model options o selects. Hot-line attribution is
+// left off: only Analyze reports it, so only Analyze asks for it.
+func (o Options) model() fsmodel.Options {
+	counting := fsmodel.CountPaperPhi
 	if o.MESICounting {
-		return fsmodel.CountMESI
+		counting = fsmodel.CountMESI
 	}
-	return fsmodel.CountPaperPhi
+	return fsmodel.Options{
+		Machine:     o.Machine.resolve(),
+		NumThreads:  o.Threads,
+		Chunk:       o.Chunk,
+		StackDepth:  o.StackDepth,
+		Counting:    counting,
+		Budget:      o.Budget,
+		Extrapolate: o.Extrapolate,
+	}
 }
 
 // Program is a parsed and lowered mini-C translation unit.
@@ -240,8 +252,17 @@ type Analysis struct {
 	// FSCases is the modeled total number of false-sharing cases.
 	FSCases int64
 	// FSShare is the modeled fraction of loop execution time lost to
-	// false sharing (Equation 1's FS term over Total_c).
+	// false sharing (Equation 1's FS term over Total_c, in the aggregate
+	// form of costmodel.Breakdown.FSShare).
 	FSShare float64
+	// TotalCycles is Equation 1's Total_c in wall cycles: the base cost
+	// models plus the FS term, as EstimateCost reports TotalWallCycles.
+	TotalCycles float64
+	// CostErr is set when the base cost models cannot price the nest
+	// (e.g. an inner bound that depends on an outer loop variable); the
+	// FS results stand, FSShare and TotalCycles are 0, and EstimateCost
+	// fails with this error.
+	CostErr error
 	// Iterations is the total innermost-loop iterations; FSPerIteration
 	// is the FS density.
 	Iterations     int64
@@ -279,26 +300,51 @@ type Victim struct {
 	FSCases int64
 }
 
-// Analyze runs the FS cost model on nest i.
-func (p *Program) Analyze(i int, opts Options) (*Analysis, error) {
+// evaluation is one run of the model on a nest: the FS model's result
+// and Equation 1's base cost terms under the same plan. Analysis,
+// CostReport and ChunkCandidate are views of it.
+type evaluation struct {
+	nest    *loopir.Nest
+	m       *machine.Desc
+	res     *fsmodel.Result
+	base    costmodel.Breakdown
+	costErr error // the base cost models rejected the nest
+}
+
+// evaluate runs fsmodel.Analyze and costmodel.Estimate once each on nest
+// i. A cost-model rejection is recorded, not returned: Analyze still
+// reports the FS results, EstimateCost fails with it.
+func (p *Program) evaluate(i int, opts Options) (*evaluation, error) {
 	n, err := p.nest(i)
 	if err != nil {
 		return nil, err
 	}
-	m := opts.Machine.resolve()
-	res, err := fsmodel.Analyze(n, fsmodel.Options{
-		Machine:       m,
-		NumThreads:    opts.Threads,
-		Chunk:         opts.Chunk,
-		StackDepth:    opts.StackDepth,
-		Counting:      opts.counting(),
-		TrackHotLines: opts.TrackHotLines,
-		Budget:        opts.Budget,
-		Extrapolate:   opts.Extrapolate,
-	})
+	if err := faultinject.Fire("repro.evaluate"); err != nil {
+		return nil, err
+	}
+	fo := opts.model()
+	fo.TrackHotLines = opts.TrackHotLines
+	res, err := fsmodel.Analyze(n, fo)
 	if err != nil {
 		return nil, err
 	}
+	e := &evaluation{nest: n, m: fo.Machine, res: res}
+	e.base, e.costErr = costmodel.Estimate(n, fo.Machine, res.Plan)
+	return e, nil
+}
+
+// totalCycles is Equation 1's Total_c in wall cycles.
+func (e *evaluation) totalCycles() float64 {
+	return e.base.TotalWithFS(e.res.FSCases, e.m, e.res.Plan.NumThreads)
+}
+
+// Analyze runs the FS cost model on nest i.
+func (p *Program) Analyze(i int, opts Options) (*Analysis, error) {
+	e, err := p.evaluate(i, opts)
+	if err != nil {
+		return nil, err
+	}
+	res := e.res
 	a := &Analysis{
 		FSCases:        res.FSCases,
 		Iterations:     res.Iterations,
@@ -308,20 +354,17 @@ func (p *Program) Analyze(i int, opts Options) (*Analysis, error) {
 		Chunk:          res.Plan.Chunk,
 		SkippedRefs:    res.SkippedRefs,
 		Extrapolated:   res.Extrapolated,
+		CostErr:        e.costErr,
 	}
 	for _, v := range res.Victims() {
 		a.Victims = append(a.Victims, Victim{Ref: v.Src, Symbol: v.Symbol, Write: v.Write, FSCases: v.FSCases})
 	}
-	for _, h := range res.HotLines(n, m.LineSize, 10) {
+	for _, h := range res.HotLines(e.nest, e.m.LineSize, 10) {
 		a.HotLines = append(a.HotLines, HotLine{Symbol: h.Symbol, Offset: h.Offset, FSCases: h.FSCases})
 	}
-	if base, err := costmodel.Estimate(n, m, res.Plan); err == nil {
-		coher := float64(m.CoherenceLatency)
-		totalWork := base.PerIter()*float64(base.TotalIterations) + base.ParallelOverhead
-		fsWork := float64(res.FSCases) * coher
-		if totalWork+fsWork > 0 {
-			a.FSShare = fsWork / (totalWork + fsWork)
-		}
+	if e.costErr == nil {
+		a.FSShare = e.base.FSShare(res.FSCases, e.m)
+		a.TotalCycles = e.totalCycles()
 	}
 	return a, nil
 }
@@ -349,14 +392,7 @@ func (p *Program) AnalyzeRate(i int, opts Options, runs int64) (*RateReport, err
 	if err != nil {
 		return nil, err
 	}
-	res, err := fsmodel.AnalyzeRate(n, fsmodel.Options{
-		Machine:    opts.Machine.resolve(),
-		NumThreads: opts.Threads,
-		Chunk:      opts.Chunk,
-		StackDepth: opts.StackDepth,
-		Counting:   opts.counting(),
-		Budget:     opts.Budget,
-	}, runs)
+	res, err := fsmodel.AnalyzeRate(n, opts.model(), runs)
 	if err != nil {
 		return nil, err
 	}
@@ -389,14 +425,7 @@ func (p *Program) Predict(i int, opts Options, sampleRuns int64) (*Prediction, e
 	if err != nil {
 		return nil, err
 	}
-	pred, err := fsmodel.Predict(n, fsmodel.Options{
-		Machine:    opts.Machine.resolve(),
-		NumThreads: opts.Threads,
-		Chunk:      opts.Chunk,
-		StackDepth: opts.StackDepth,
-		Counting:   opts.counting(),
-		Budget:     opts.Budget,
-	}, sampleRuns)
+	pred, err := fsmodel.Predict(n, opts.model(), sampleRuns)
 	if err != nil {
 		return nil, err
 	}
@@ -474,28 +503,15 @@ type CostReport struct {
 // EstimateCost evaluates Equation 1 for nest i, combining the base cost
 // models with the FS model.
 func (p *Program) EstimateCost(i int, opts Options) (*CostReport, error) {
-	n, err := p.nest(i)
+	opts.TrackHotLines = false // the report has no per-line view
+	e, err := p.evaluate(i, opts)
 	if err != nil {
 		return nil, err
 	}
-	m := opts.Machine.resolve()
-	res, err := fsmodel.Analyze(n, fsmodel.Options{
-		Machine:     m,
-		NumThreads:  opts.Threads,
-		Chunk:       opts.Chunk,
-		StackDepth:  opts.StackDepth,
-		Counting:    opts.counting(),
-		Budget:      opts.Budget,
-		Extrapolate: opts.Extrapolate,
-	})
-	if err != nil {
-		return nil, err
+	if e.costErr != nil {
+		return nil, e.costErr
 	}
-	base, err := costmodel.Estimate(n, m, res.Plan)
-	if err != nil {
-		return nil, err
-	}
-	total := base.TotalWithFS(res.FSCases, m, res.Plan.NumThreads)
+	base, total := e.base, e.totalCycles()
 	return &CostReport{
 		MachinePerIter:      base.MachinePerIter,
 		CachePerIter:        base.CachePerIter,
@@ -547,28 +563,27 @@ func (p *Program) RecommendChunkCtx(ctx context.Context, i int, opts Options, ca
 		c := candidates[idx]
 		o := opts
 		o.Chunk = c
-		cost, err := p.EstimateCost(i, o)
+		o.TrackHotLines = false // candidates report no per-line view
+		e, err := p.evaluate(i, o)
+		if err == nil {
+			err = e.costErr
+		}
 		if err != nil {
 			return ChunkCandidate{}, fmt.Errorf("repro: chunk %d: %w", c, err)
 		}
-		a, err := p.Analyze(i, o)
-		if err != nil {
-			return ChunkCandidate{}, err
-		}
-		return ChunkCandidate{Chunk: c, FSCases: a.FSCases, TotalCycles: cost.TotalWallCycles}, nil
+		return ChunkCandidate{Chunk: c, FSCases: e.res.FSCases, TotalCycles: e.totalCycles()}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	best := &ChunkRecommendation{Evaluated: evaluated}
-	for _, cand := range evaluated {
-		if best.Chunk == 0 || cand.TotalCycles < best.TotalCycles {
-			best.Chunk = cand.Chunk
-			best.FSCases = cand.FSCases
-			best.TotalCycles = cand.TotalCycles
+	win := 0
+	for idx, cand := range evaluated {
+		if cand.TotalCycles < evaluated[win].TotalCycles {
+			win = idx
 		}
 	}
-	return best, nil
+	w := evaluated[win]
+	return &ChunkRecommendation{Chunk: w.Chunk, FSCases: w.FSCases, TotalCycles: w.TotalCycles, Evaluated: evaluated}, nil
 }
 
 // ClosedFormAdvice is the static linter's verdict and schedule advice for
@@ -656,15 +671,7 @@ type PaddingAdvice struct {
 // prices the transformation with the combined cost model: FS savings
 // against footprint growth.
 func (p *Program) EvaluatePadding(i int, opts Options) (*PaddingAdvice, error) {
-	d, err := transform.EvaluatePadding(p.unit.Prog, i, fsmodel.Options{
-		Machine:     opts.Machine.resolve(),
-		NumThreads:  opts.Threads,
-		Chunk:       opts.Chunk,
-		StackDepth:  opts.StackDepth,
-		Counting:    opts.counting(),
-		Budget:      opts.Budget,
-		Extrapolate: opts.Extrapolate,
-	})
+	d, err := transform.EvaluatePadding(p.unit.Prog, i, opts.model())
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,11 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/costmodel"
+	"repro/internal/faultinject"
+	"repro/internal/fsmodel"
+	"repro/internal/kernels"
 )
 
 const victim = `
@@ -472,10 +477,156 @@ func TestRecommendChunkCtx(t *testing.T) {
 	if rec.Chunk != 8 {
 		t.Fatalf("recommended chunk = %d", rec.Chunk)
 	}
+	// Equal costs go to the first candidate, even when its chunk is 0:
+	// both select the pragma's chunk 1 here.
+	rec, err = prog.RecommendChunk(0, Options{}, []int64{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := rec.Evaluated; e[0].FSCases != e[1].FSCases || e[0].TotalCycles != e[1].TotalCycles {
+		t.Fatalf("candidates 0 and 1 differ: %+v", e)
+	}
+	if rec.Chunk != 0 {
+		t.Fatalf("tie went to chunk %d, want the first candidate (0)", rec.Chunk)
+	}
 	// A cancelled context aborts the sweep with the context error.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := prog.RecommendChunkCtx(ctx, 0, Options{}, []int64{1, 8}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestOneModelRunPerAnswer counts model runs: Analyze and EstimateCost
+// each run the FS model and Equation 1 once, and RecommendChunk once per
+// candidate.
+func TestOneModelRunPerAnswer(t *testing.T) {
+	prog, err := Parse(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Enable()
+	defer faultinject.Reset()
+	for _, c := range []struct {
+		name string
+		call func() error
+		want int64
+	}{
+		{"Analyze", func() error { _, err := prog.Analyze(0, Options{}); return err }, 1},
+		{"EstimateCost", func() error { _, err := prog.EstimateCost(0, Options{}); return err }, 1},
+		{"RecommendChunk", func() error { _, err := prog.RecommendChunk(0, Options{}, nil); return err }, 8},
+	} {
+		faultinject.Arm("repro.evaluate", faultinject.Fault{Kind: faultinject.KindDelay})
+		if err := c.call(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := faultinject.Fired("repro.evaluate"); got != c.want {
+			t.Errorf("%s ran the model %d times, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestViewsAgree checks that Analysis, CostReport and ChunkCandidate
+// report the same evaluation: Analyze's TotalCycles is EstimateCost's
+// TotalWallCycles, every candidate equals Analyze and EstimateCost at its
+// chunk, and FSShare is costmodel's FSShare of the same run.
+func TestViewsAgree(t *testing.T) {
+	sources := map[string]string{
+		"heat":   kernels.HeatSource(16, 64),
+		"dft":    kernels.DFTSource(64),
+		"linreg": kernels.LinRegSource(32, 64, 8),
+	}
+	variants := []Options{
+		{Threads: 8, Chunk: 1},
+		{Threads: 8, Chunk: 1, MESICounting: true},
+		{Threads: 8, Chunk: 2, StackDepth: 64},
+		{Threads: 8, Chunk: 1, Extrapolate: true},
+		{Threads: 4, Chunk: 3, Extrapolate: true, TrackHotLines: true},
+	}
+	for _, name := range kernels.Names() {
+		prog, err := Parse(sources[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range variants {
+			a, err := prog.Analyze(0, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cost, err := prog.EstimateCost(0, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.CostErr != nil || a.TotalCycles != cost.TotalWallCycles {
+				t.Errorf("%s %+v: Analysis.TotalCycles = %v (cost err %v), EstimateCost = %v",
+					name, opts, a.TotalCycles, a.CostErr, cost.TotalWallCycles)
+			}
+
+			n, _ := prog.nest(0)
+			m := opts.Machine.resolve()
+			res, err := fsmodel.Analyze(n, opts.model())
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := costmodel.Estimate(n, m, res.Plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := base.FSShare(res.FSCases, m); a.FSShare != want {
+				t.Errorf("%s %+v: FSShare = %v, costmodel FSShare = %v", name, opts, a.FSShare, want)
+			}
+
+			rec, err := prog.RecommendChunk(0, opts, []int64{1, 4, 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cand := range rec.Evaluated {
+				o := opts
+				o.Chunk = cand.Chunk
+				ca, err := prog.Analyze(0, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cc, err := prog.EstimateCost(0, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cand.FSCases != ca.FSCases || cand.TotalCycles != cc.TotalWallCycles {
+					t.Errorf("%s %+v chunk %d: candidate fs=%d cycles=%v, Analyze fs=%d, EstimateCost cycles=%v",
+						name, opts, cand.Chunk, cand.FSCases, cand.TotalCycles, ca.FSCases, cc.TotalWallCycles)
+				}
+			}
+		}
+	}
+}
+
+// TestCostModelRejection: a nest the FS model can run but the base cost
+// models cannot price (an inner bound depending on the outer variable)
+// still gets its FS answer from Analyze, which records the rejection
+// that EstimateCost and RecommendChunk fail with.
+func TestCostModelRejection(t *testing.T) {
+	prog, err := Parse(`
+double a[64][64];
+
+#pragma omp parallel for private(i,j) schedule(static,1) num_threads(8)
+for (i = 0; i < 64; i++)
+    for (j = i; j < 64; j++)
+        a[i][j] += 1.0;
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := prog.Analyze(0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.CostErr == nil || a.Iterations != 2080 || a.FSShare != 0 || a.TotalCycles != 0 {
+		t.Fatalf("analysis = %+v, want FS results with a cost error and no share", a)
+	}
+	if _, err := prog.EstimateCost(0, Options{}); err == nil || err.Error() != a.CostErr.Error() {
+		t.Fatalf("EstimateCost err = %v, want %v", err, a.CostErr)
+	}
+	if _, err := prog.RecommendChunk(0, Options{}, []int64{1}); err == nil || !strings.Contains(err.Error(), a.CostErr.Error()) {
+		t.Fatalf("RecommendChunk err = %v, want it to wrap %v", err, a.CostErr)
 	}
 }

@@ -1,30 +1,29 @@
-// Package admission is the service's adaptive admission control: the
-// decision of how many model evaluations may run at once, who may wait
-// for a slot, and who is turned away now rather than timed out later.
+// Package admission is the service's admission control: the decision
+// of how many model evaluations may run at once, who may wait for a
+// slot, and who is turned away now rather than timed out later.
 //
-// The previous limiter was a fixed-size token pool: correct, but its
-// capacity was a static guess. Evaluation latency is the ground truth
-// the service actually has — a warm evaluation of a paper-scale kernel
-// has a stable cost, and when observed latency drifts far above that
-// baseline the machine is oversubscribed and admitting more work makes
-// every request slower. The Controller therefore adapts an AIMD
-// concurrency limit from observed latency:
+// The Controller holds a fixed number of evaluation slots
+// (Config.MaxConcurrent, fsserve's -concurrency, which defaults to
+// GOMAXPROCS) in front of a bounded FIFO wait queue. Model evaluations
+// are CPU-bound and independent, so admitting fewer than one per core
+// only idles cores: an earlier latency-driven AIMD limit compared every
+// evaluation with the fastest one ever seen, and because a lint takes
+// microseconds while a recommend makes nine model runs, mixed traffic
+// always looked congested and the limit sat at 1 — half of every cold
+// miss was then spent queued behind another client's miss. Overload is
+// shed without it:
 //
-//   - every successful evaluation feeds an EWMA of latency and keeps a
-//     minimum as the warm baseline;
-//   - when the EWMA degrades past a threshold multiple of the
-//     baseline, the limit decreases multiplicatively (shed load fast);
-//   - while latency is healthy, the limit increases additively back
-//     toward the configured ceiling (reclaim capacity slowly).
-//
-// Two further admission decisions happen before a request may wait:
-//
+//   - the bounded queue: beyond MaxQueue waiters Acquire returns
+//     ErrQueueFull at once;
 //   - queue-deadline eviction: a waiter whose context deadline cannot
 //     be met by the estimated queue drain time is rejected immediately
 //     with a *DeadlineError carrying the estimate — the client gets a
-//     derived Retry-After now instead of a guaranteed timeout later;
+//     derived Retry-After now instead of a guaranteed timeout later.
+//     The estimate comes from an EWMA of successful evaluation latency
+//     fed by Observe;
 //   - per-client quotas (quota.go): a token bucket per client key so
-//     one hot client saturates its own budget, not the whole service.
+//     one hot client saturates its own budget, not the whole service;
+//   - the service's per-endpoint circuit breakers (internal/guard).
 package admission
 
 import (
@@ -58,59 +57,24 @@ func (e *DeadlineError) Error() string {
 		e.Remaining.Round(time.Millisecond).String() + ")"
 }
 
-// Config parameterizes a Controller. The zero value of every tunable
-// gets a sensible default; MaxConcurrent is required.
+// Config parameterizes a Controller.
 type Config struct {
-	// MaxConcurrent is the hard ceiling on concurrently admitted work
-	// (required, >= 1). The adaptive limit never exceeds it.
+	// MaxConcurrent is the number of evaluation slots (values below 1
+	// are raised to 1).
 	MaxConcurrent int
-	// MinConcurrent is the floor the limit never decreases below
-	// (0 = 1).
-	MinConcurrent int
 	// MaxQueue bounds requests waiting for a slot; beyond it Acquire
 	// returns ErrQueueFull (0 = no waiting at all).
 	MaxQueue int
-	// LatencyThreshold is the EWMA-over-baseline ratio that marks the
-	// service oversubscribed (0 = 2.0).
-	LatencyThreshold float64
-	// DecreaseFactor is the multiplicative decrease applied while
-	// oversubscribed (0 = 0.75).
-	DecreaseFactor float64
-	// IncreaseStep is the additive increase applied while healthy
-	// (0 = 1).
-	IncreaseStep float64
-	// AdaptEvery batches adaptation: the limit moves at most once per
-	// this many observed samples, so one outlier does not whipsaw it
-	// (0 = 8).
-	AdaptEvery int
 	// OnQueueDepth, when non-nil, mirrors the waiter count on every
 	// change (feeds the fsserve_queue_depth gauge).
 	OnQueueDepth func(depth int)
-	// OnLimitChange, when non-nil, observes every limit move with the
-	// new value and the direction ("increase"/"decrease").
-	OnLimitChange func(limit float64, direction string)
 	// Now substitutes the clock in tests (nil = time.Now).
 	Now func() time.Time
 }
 
 func (c Config) withDefaults() Config {
-	if c.MinConcurrent <= 0 {
-		c.MinConcurrent = 1
-	}
-	if c.MaxConcurrent < c.MinConcurrent {
-		c.MaxConcurrent = c.MinConcurrent
-	}
-	if c.LatencyThreshold <= 1 {
-		c.LatencyThreshold = 2.0
-	}
-	if c.DecreaseFactor <= 0 || c.DecreaseFactor >= 1 {
-		c.DecreaseFactor = 0.75
-	}
-	if c.IncreaseStep <= 0 {
-		c.IncreaseStep = 1
-	}
-	if c.AdaptEvery <= 0 {
-		c.AdaptEvery = 8
+	if c.MaxConcurrent < 1 {
+		c.MaxConcurrent = 1
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -124,45 +88,24 @@ type waiter struct {
 	granted bool
 }
 
-// Controller is the adaptive admission controller. Create with New;
-// all methods are safe for concurrent use.
+// Controller is the admission controller. Create with New; all
+// methods are safe for concurrent use.
 type Controller struct {
 	cfg Config
 
 	mu      sync.Mutex
-	limit   float64 // current adaptive limit, in [MinConcurrent, MaxConcurrent]
-	running int     // admitted work currently holding a slot
+	running int // admitted work currently holding a slot
 	queue   *list.List
 
-	// latency adaptation state, all in seconds
-	ewma       float64 // smoothed successful-evaluation latency
-	baseline   float64 // minimum observed successful latency (warm baseline)
-	sinceAdapt int
-
-	// counters for stats
-	increases, decreases int64
-	deadlineEvictions    int64
+	// ewma is the smoothed successful-evaluation latency in seconds; it
+	// feeds only the queue drain estimate.
+	ewma              float64
+	deadlineEvictions int64
 }
 
-// New builds a Controller starting at the full ceiling: the limit only
-// backs off once observed latency says it must, so an unloaded server
-// behaves exactly like the static pool it replaces.
+// New builds a Controller with cfg.MaxConcurrent free slots.
 func New(cfg Config) *Controller {
-	cfg = cfg.withDefaults()
-	return &Controller{
-		cfg:   cfg,
-		limit: float64(cfg.MaxConcurrent),
-		queue: list.New(),
-	}
-}
-
-// intLimit is the admittable slot count right now.
-func (c *Controller) intLimit() int {
-	n := int(c.limit)
-	if n < c.cfg.MinConcurrent {
-		n = c.cfg.MinConcurrent
-	}
-	return n
+	return &Controller{cfg: cfg.withDefaults(), queue: list.New()}
 }
 
 // Acquire blocks until a slot is free, the queue is full, the caller's
@@ -170,7 +113,7 @@ func (c *Controller) intLimit() int {
 // returned release must be called exactly once.
 func (c *Controller) Acquire(ctx context.Context) (release func(), err error) {
 	c.mu.Lock()
-	if c.running < c.intLimit() {
+	if c.running < c.cfg.MaxConcurrent {
 		c.running++
 		c.mu.Unlock()
 		return c.release, nil
@@ -213,8 +156,7 @@ func (c *Controller) Acquire(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// release returns a slot and hands it to the next waiter if the limit
-// allows.
+// release returns a slot and hands it to the next waiter.
 func (c *Controller) release() {
 	c.mu.Lock()
 	c.running--
@@ -224,7 +166,7 @@ func (c *Controller) release() {
 
 // grantLocked admits waiters while slots are free.
 func (c *Controller) grantLocked() {
-	for c.running < c.intLimit() && c.queue.Len() > 0 {
+	for c.running < c.cfg.MaxConcurrent && c.queue.Len() > 0 {
 		el := c.queue.Front()
 		w := c.queue.Remove(el).(*waiter)
 		w.granted = true
@@ -249,7 +191,7 @@ func (c *Controller) estimatedWaitLocked(pos int) time.Duration {
 	if c.ewma <= 0 {
 		return 0
 	}
-	perSlot := c.ewma / float64(c.intLimit())
+	perSlot := c.ewma / float64(c.cfg.MaxConcurrent)
 	return time.Duration(float64(pos+1) * perSlot * float64(time.Second))
 }
 
@@ -261,87 +203,38 @@ func (c *Controller) EstimatedWait() time.Duration {
 	return c.estimatedWaitLocked(c.queue.Len())
 }
 
-// Observe feeds one completed evaluation's latency into the
-// controller. Only successful evaluations adapt the limit: failures go
-// to the circuit breaker, whose job is fault health, while the
-// limiter's job is throughput health.
+// Observe feeds one completed evaluation's latency into the drain
+// estimate. Only successful evaluations count: failures go to the
+// circuit breaker, whose job is fault health.
 func (c *Controller) Observe(latency time.Duration, success bool) {
 	if !success {
 		return
 	}
 	sec := latency.Seconds()
 	if sec <= 0 {
-		sec = 1e-9 // a clamped sample still counts toward adaptation
+		sec = 1e-9 // a clamped sample still marks the model as warm
 	}
 	c.mu.Lock()
-	if c.baseline == 0 || sec < c.baseline {
-		c.baseline = sec
-	}
 	if c.ewma == 0 {
 		c.ewma = sec
 	} else {
 		c.ewma = 0.8*c.ewma + 0.2*sec
 	}
-	c.sinceAdapt++
-	if c.sinceAdapt >= c.cfg.AdaptEvery {
-		c.sinceAdapt = 0
-		c.adaptLocked()
-	}
 	c.mu.Unlock()
-}
-
-// adaptLocked moves the limit one AIMD step based on the current
-// EWMA-over-baseline ratio.
-func (c *Controller) adaptLocked() {
-	oversubscribed := c.ewma > c.cfg.LatencyThreshold*c.baseline
-	if oversubscribed {
-		next := c.limit * c.cfg.DecreaseFactor
-		if next < float64(c.cfg.MinConcurrent) {
-			next = float64(c.cfg.MinConcurrent)
-		}
-		if next < c.limit {
-			c.limit = next
-			c.decreases++
-			if c.cfg.OnLimitChange != nil {
-				c.cfg.OnLimitChange(c.limit, "decrease")
-			}
-		}
-		return
-	}
-	next := c.limit + c.cfg.IncreaseStep
-	if next > float64(c.cfg.MaxConcurrent) {
-		next = float64(c.cfg.MaxConcurrent)
-	}
-	if next > c.limit {
-		c.limit = next
-		c.increases++
-		if c.cfg.OnLimitChange != nil {
-			c.cfg.OnLimitChange(c.limit, "increase")
-		}
-		// A raised limit may admit queued work immediately.
-		c.grantLocked()
-	}
 }
 
 // Stats is a point-in-time view of the controller.
 type Stats struct {
-	// Limit is the current adaptive concurrency limit; Ceiling is the
-	// configured maximum; Floor the minimum.
-	Limit   float64
+	// Ceiling is the configured slot count.
 	Ceiling int
-	Floor   int
 	// Running is admitted work holding a slot; Waiting the queue depth;
 	// MaxWait the queue capacity.
 	Running int
 	Waiting int
 	MaxWait int
-	// BaselineSeconds and EWMASeconds expose the latency model.
-	BaselineSeconds float64
-	EWMASeconds     float64
-	// Increases/Decreases count limit moves; DeadlineEvictions counts
-	// queue-deadline rejections.
-	Increases         int64
-	Decreases         int64
+	// EWMASeconds is the smoothed evaluation latency behind the drain
+	// estimate; DeadlineEvictions counts queue-deadline rejections.
+	EWMASeconds       float64
 	DeadlineEvictions int64
 }
 
@@ -350,16 +243,11 @@ func (c *Controller) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Limit:             c.limit,
 		Ceiling:           c.cfg.MaxConcurrent,
-		Floor:             c.cfg.MinConcurrent,
 		Running:           c.running,
 		Waiting:           c.queue.Len(),
 		MaxWait:           c.cfg.MaxQueue,
-		BaselineSeconds:   c.baseline,
 		EWMASeconds:       c.ewma,
-		Increases:         c.increases,
-		Decreases:         c.decreases,
 		DeadlineEvictions: c.deadlineEvictions,
 	}
 }

@@ -104,74 +104,48 @@ func TestQueueFIFOAndCancel(t *testing.T) {
 	}
 }
 
-// TestAIMDDecreaseAndRecover drives the latency model directly: a warm
-// baseline, then degraded latency → multiplicative decrease bounded by
-// the floor; healthy latency again → additive recovery to the ceiling.
-func TestAIMDDecreaseAndRecover(t *testing.T) {
-	type move struct {
-		limit float64
-		dir   string
-	}
-	var moves []move
-	c := New(Config{
-		MaxConcurrent: 8, MinConcurrent: 2, MaxQueue: 8,
-		AdaptEvery: 4, LatencyThreshold: 2, DecreaseFactor: 0.5,
-		OnLimitChange: func(l float64, d string) { moves = append(moves, move{l, d}) },
-	})
-
-	// Warm baseline at 10ms. Healthy samples try to increase, but the
-	// limit already sits at the ceiling.
-	for i := 0; i < 8; i++ {
-		c.Observe(10*time.Millisecond, true)
-	}
-	if st := c.Stats(); st.Limit != 8 || st.Decreases != 0 {
-		t.Fatalf("healthy warm-up moved the limit: %+v", st)
-	}
-
-	// Degraded latency: 10× baseline. The EWMA crosses 2× baseline and
-	// each AdaptEvery batch halves the limit, never below the floor.
-	for i := 0; i < 32; i++ {
-		c.Observe(100*time.Millisecond, true)
-	}
-	st := c.Stats()
-	if st.Limit != 2 {
-		t.Fatalf("limit = %v after sustained degradation, want floor 2 (stats %+v)", st.Limit, st)
-	}
-	if st.Decreases == 0 {
-		t.Fatal("no decrease recorded")
-	}
-
-	// Recovery: healthy latency again walks the limit back up by
-	// IncreaseStep per batch.
-	for i := 0; i < 8*4; i++ {
-		c.Observe(10*time.Millisecond, true)
-	}
-	st = c.Stats()
-	if st.Limit != 8 {
-		t.Fatalf("limit = %v after recovery, want ceiling 8", st.Limit)
-	}
-	if st.Increases == 0 {
-		t.Fatal("no increase recorded")
-	}
-	for _, m := range moves {
-		if m.dir != "increase" && m.dir != "decrease" {
-			t.Errorf("bad direction %q", m.dir)
+// TestMixedLatenciesKeepEverySlot is the regression test for the
+// latency-driven limit this controller replaced: alternating
+// microsecond and 20ms evaluations (a lint beside a heat run) made the
+// EWMA sit far above the fastest sample ever seen, so the old limit
+// fell to 1 and idled every other core. Latency must never cost a slot.
+func TestMixedLatenciesKeepEverySlot(t *testing.T) {
+	const slots = 4
+	c := New(Config{MaxConcurrent: slots})
+	for i := 0; i < 64; i++ {
+		lat := 100 * time.Microsecond
+		if i%2 == 1 {
+			lat = 20 * time.Millisecond
 		}
-		if m.limit < 2 || m.limit > 8 {
-			t.Errorf("limit %v escaped [floor, ceiling]", m.limit)
+		c.Observe(lat, true)
+	}
+	// MaxQueue is 0, so an Acquire that would have to wait fails at once
+	// with ErrQueueFull instead of blocking.
+	var releases []func()
+	for i := 0; i < slots; i++ {
+		rel, err := c.Acquire(context.Background())
+		if err != nil {
+			t.Fatalf("acquire %d of %d after mixed latencies: %v", i+1, slots, err)
 		}
+		releases = append(releases, rel)
+	}
+	if st := c.Stats(); st.Running != slots || st.Ceiling != slots {
+		t.Fatalf("stats = %+v, want all %d slots running", st, slots)
+	}
+	for _, rel := range releases {
+		rel()
 	}
 }
 
 // TestFailuresDoNotAdapt pins that failed evaluations leave the
 // latency model untouched: fault health is the breaker's job.
 func TestFailuresDoNotAdapt(t *testing.T) {
-	c := New(Config{MaxConcurrent: 4, AdaptEvery: 1})
+	c := New(Config{MaxConcurrent: 4})
 	for i := 0; i < 16; i++ {
 		c.Observe(time.Second, false)
 	}
 	st := c.Stats()
-	if st.EWMASeconds != 0 || st.BaselineSeconds != 0 || st.Limit != 4 {
+	if st.EWMASeconds != 0 || st.Ceiling != 4 {
 		t.Fatalf("failures adapted the model: %+v", st)
 	}
 }

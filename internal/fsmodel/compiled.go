@@ -2,7 +2,6 @@ package fsmodel
 
 import (
 	"math/bits"
-	"unsafe"
 
 	"repro/internal/accessplan"
 	"repro/internal/cache"
@@ -52,27 +51,41 @@ type lazyState struct {
 // resident line look stale to eviction.
 const lazyMod = int32(1) << 30
 
-func newLazyState(span int64, threads, stackDepth int) *lazyState {
+// lazyLayout is the lazy state's geometry for a window of span lines:
+// the padded per-thread stamp stride and, when the per-thread capacity
+// can evict, that capacity and the padded per-thread ring length (both
+// zero otherwise). newLazyState allocates from it and denseStateBytes
+// prices it.
+func lazyLayout(span int64, stackDepth int) (spanStride int64, cap int32, ringLen int64) {
 	// spanStride*4 ≡ 64 (mod 4096): spanStride ≡ 16 (mod 1024).
-	spanStride := span + ((16-span)%1024+1024)%1024
+	spanStride = span + ((16-span)%1024+1024)%1024
+	// A non-positive or span-covering capacity never evicts, so no
+	// recency bookkeeping is needed at all.
+	if stackDepth > 0 && int64(stackDepth) < span {
+		cap = int32(stackDepth)
+		// ringLen*8 ≡ 64 (mod 4096): ringLen ≡ 8 (mod 512).
+		rl := int64(4*stackDepth + 64)
+		ringLen = rl + ((8-rl)%512+512)%512
+	}
+	return spanStride, cap, ringLen
+}
+
+// newLazyState builds the lazy state, taking its stamp and ring arrays
+// from h (see alloc).
+func newLazyState(h *offHeap, span int64, threads, stackDepth int) *lazyState {
+	spanStride, cap, ringLen := lazyLayout(span, stackDepth)
 	s := &lazyState{
 		threads:    threads,
 		span:       span,
 		spanStride: spanStride,
-		stamp:      make([]int32, spanStride*int64(threads)),
+		cap:        cap,
+		stamp:      alloc[int32](h, spanStride*int64(threads)),
+		ringLen:    ringLen,
 	}
-	adviseHuge(unsafe.Pointer(&s.stamp[0]), uintptr(len(s.stamp))*4)
-	// A non-positive or span-covering capacity never evicts, so no
-	// recency bookkeeping is needed at all.
-	if stackDepth > 0 && int64(stackDepth) < span {
-		s.cap = int32(stackDepth)
+	if cap > 0 {
 		s.clock = make([]int32, threads)
 		s.live = make([]int32, threads)
-		// ringLen*8 ≡ 64 (mod 4096): ringLen ≡ 8 (mod 512).
-		rl := int64(4*stackDepth + 64)
-		s.ringLen = rl + ((8-rl)%512+512)%512
-		s.ring = make([]uint64, s.ringLen*int64(threads))
-		adviseHuge(unsafe.Pointer(&s.ring[0]), uintptr(len(s.ring))*8)
+		s.ring = alloc[uint64](h, ringLen*int64(threads))
 		s.head = make([]int64, threads)
 		s.tail = make([]int64, threads)
 		for t := 0; t < threads; t++ {
@@ -136,11 +149,12 @@ func (r *run) accessLazy(t int, line int64, write bool, refIdx int) bool {
 	}
 	res := r.res
 	e := &r.ddir[idx]
-	ownerBefore := e.owner
+	ownerBefore := e.owner1
+	self := int8(t + 1)
 	tBit := uint64(1) << uint(t)
 	lz := r.lz
 
-	if e.owner >= 0 && int(e.owner) != t {
+	if e.owner1 != 0 && e.owner1 != self {
 		res.FSCases++
 		if refIdx >= 0 && refIdx < len(res.ByRef) {
 			res.ByRef[refIdx].FSCases++
@@ -148,8 +162,8 @@ func (r *run) accessLazy(t int, line int64, write bool, refIdx int) bool {
 		if r.trackHot {
 			res.hotLines[line]++
 		}
-		lz.downgrade(int(e.owner), idx)
-		e.owner = -1
+		lz.downgrade(int(e.owner1)-1, idx)
+		e.owner1 = 0
 	}
 
 	if r.mode == CountMESI && write {
@@ -204,8 +218,8 @@ func (r *run) accessLazy(t int, line int64, write bool, refIdx int) bool {
 				res.CapacityEvictions++
 				ev := &r.ddir[v]
 				ev.holders &^= tBit
-				if int(ev.owner) == t || ev.holders == 0 {
-					ev.owner = -1
+				if ev.owner1 == self || ev.holders == 0 {
+					ev.owner1 = 0
 				}
 			}
 			lz.live[t]++
@@ -224,10 +238,10 @@ func (r *run) accessLazy(t int, line int64, write bool, refIdx int) bool {
 		lz.tail[t]++
 	}
 	if write {
-		if ownerBefore != int8(t) || (hit && !wasMod) {
+		if ownerBefore != self || (hit && !wasMod) {
 			r.mut++
 		}
-		e.owner = int8(t)
+		e.owner1 = self
 	}
 	return true
 }

@@ -325,12 +325,13 @@ func (s setAssocState) Invalidate(line int64) bool {
 }
 
 // dirEntry tracks, per cache line, which threads hold a copy (bitmask) and
-// which single thread holds it Modified (-1 if none). Maintaining the
-// directory alongside the per-thread stacks makes the 1-to-All comparison
-// O(1) per access instead of O(threads).
+// which single thread holds it Modified. Maintaining the directory
+// alongside the per-thread stacks makes the 1-to-All comparison O(1) per
+// access instead of O(threads). The zero value is an untouched line, so
+// a fresh dense directory needs no initialization pass.
 type dirEntry struct {
 	holders uint64
-	owner   int8
+	owner1  int8 // Modified owner's thread id + 1; 0 = no Modified copy
 }
 
 // Dense-state sizing limits. The dense window spans the contiguous line
@@ -354,6 +355,10 @@ const (
 	dirMapEntryBytes = 64
 	stackNodeBytes   = 80
 )
+
+// runHook, when set by a test, observes (or panics inside) every run
+// Analyze starts, after its state is allocated.
+var runHook func(*run)
 
 // errDenseRange reports an access outside the precomputed dense window
 // (possible only when an affine subscript strays outside its symbol's
@@ -401,10 +406,12 @@ type run struct {
 
 	// Dense state: the directory is a flat slice indexed by remapped line
 	// id (global line − base), and the per-thread cache states live in lz
-	// over the same dense id space. Allocation-free per access.
+	// over the same dense id space. Allocation-free per access. mem owns
+	// the large arrays of both; Analyze releases it when the run ends.
 	dense bool
 	base  int64 // first global line id of the dense window
 	ddir  []dirEntry
+	mem   offHeap
 }
 
 // denseExtent computes the contiguous cache-line window reachable through
@@ -438,16 +445,18 @@ func denseExtent(nest *loopir.Nest, lineSize int64) (firstLine, span int64, ok b
 	return firstLine, span, true
 }
 
-// denseStateBytes prices the dense state for a window of span lines: 16
-// bytes per directory line plus, per thread, 4 bytes per window line and
-// 14 per line of stack capacity. The figure sets the dense/map cutover
+// denseStateBytes is exactly what newRun allocates for a dense window of
+// span lines: the directory, and per thread the padded stamp region plus,
+// when the capacity can evict, the padded recency ring and the clock,
+// live, head and tail words. The figure sets the dense/map cutover
 // (denseMaxBytes) and the Budget.MaxStateBytes charge.
 func denseStateBytes(span int64, threads int, stackDepth int) int64 {
-	cap := span
-	if stackDepth > 0 && int64(stackDepth) < span {
-		cap = int64(stackDepth)
+	spanStride, cap, ringLen := lazyLayout(span, stackDepth)
+	bytes := span*int64(unsafe.Sizeof(dirEntry{})) + int64(threads)*spanStride*4
+	if cap > 0 {
+		bytes += int64(threads) * (ringLen*8 + 4 + 4 + 8 + 8)
 	}
-	return span*16 + int64(threads)*(span*4+cap*14)
+	return bytes
 }
 
 // denseFits reports whether a dense window of span lines stays inside the
@@ -515,12 +524,8 @@ func newRun(nest *loopir.Nest, opts Options, plan sched.Plan, skipped []string, 
 		r.denseBytes = denseStateBytes(span, plan.NumThreads, opts.StackDepth)
 		r.dense = true
 		r.base = base
-		r.ddir = make([]dirEntry, span)
-		adviseHuge(unsafe.Pointer(&r.ddir[0]), uintptr(span)*uintptr(unsafe.Sizeof(dirEntry{})))
-		for i := range r.ddir {
-			r.ddir[i].owner = -1
-		}
-		r.lz = newLazyState(span, plan.NumThreads, opts.StackDepth)
+		r.ddir = alloc[dirEntry](&r.mem, span)
+		r.lz = newLazyState(&r.mem, span, plan.NumThreads, opts.StackDepth)
 		return r, nil
 	}
 
@@ -563,10 +568,18 @@ func Analyze(nest *loopir.Nest, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every exit releases the mapped dense state: success, a budget or
+	// deadline stop, and a panic on its way to a guard recover. The
+	// Result never points into it.
+	defer r.mem.release()
+	if runHook != nil {
+		runHook(r)
+	}
 	res, err := r.executeCompiled()
 	if err == errDenseRange {
 		// A reference strayed outside its symbol's extent: restart on the
 		// map state, which handles arbitrary line ids.
+		r.mem.release()
 		if r, err = newRun(nest, opts, plan, gen.Skipped, ap, false, 0, 0); err != nil {
 			return nil, err
 		}
@@ -620,15 +633,13 @@ func (r *run) estimateStateBytes() int64 {
 // is its dense twin.
 func (r *run) accessMap(t int, line int64, write bool, refIdx int) {
 	res := r.res
-	e, known := r.dir[line]
-	if !known {
-		e.owner = -1
-	}
-	ownerBefore := e.owner
+	e := r.dir[line]
+	ownerBefore := e.owner1
+	self := int8(t + 1)
 	tBit := uint64(1) << uint(t)
 
 	// ϕ with mask: another thread holds this line Modified.
-	if e.owner >= 0 && int(e.owner) != t {
+	if e.owner1 != 0 && e.owner1 != self {
 		res.FSCases++
 		if refIdx >= 0 && refIdx < len(res.ByRef) {
 			res.ByRef[refIdx].FSCases++
@@ -636,8 +647,8 @@ func (r *run) accessMap(t int, line int64, write bool, refIdx int) {
 		if r.trackHot {
 			res.hotLines[line]++
 		}
-		r.states[e.owner].Downgrade(line)
-		e.owner = -1
+		r.states[e.owner1-1].Downgrade(line)
+		e.owner1 = 0
 	}
 
 	if r.mode == CountMESI && write {
@@ -658,13 +669,13 @@ func (r *run) accessMap(t int, line int64, write bool, refIdx int) {
 	}
 	if tr.Evicted {
 		res.CapacityEvictions++
-		// Guard against lines the directory never saw: a zero-valued
-		// entry would alias owner 0 to thread 0. Update the looked-up
-		// entry in place and drop it once no thread holds a copy.
+		// Update the looked-up entry in place (never inserting one for a
+		// line the directory does not track) and drop it once no thread
+		// holds a copy.
 		if evicted, ok := r.dir[tr.EvictedLine]; ok {
 			evicted.holders &^= tBit
-			if int(evicted.owner) == t {
-				evicted.owner = -1
+			if evicted.owner1 == self {
+				evicted.owner1 = 0
 			}
 			if evicted.holders == 0 {
 				delete(r.dir, tr.EvictedLine)
@@ -674,10 +685,10 @@ func (r *run) accessMap(t int, line int64, write bool, refIdx int) {
 		}
 	}
 	if write {
-		if ownerBefore != int8(t) || (tr.Hit && !tr.WasModified) {
+		if ownerBefore != self || (tr.Hit && !tr.WasModified) {
 			r.mut++
 		}
-		e.owner = int8(t)
+		e.owner1 = self
 	}
 	r.dir[line] = e
 }

@@ -216,8 +216,8 @@ type readyzPool struct {
 	Waiting       int  `json:"waiting"`
 	QueueCapacity int  `json:"queue_capacity"`
 	Saturated     bool `json:"saturated"`
-	// Limit is the current adaptive concurrency limit (<= Capacity,
-	// which is the configured ceiling).
+	// Limit is the admission limit. Slots are fixed, so it always equals
+	// Capacity; the field is kept for existing readers.
 	Limit float64 `json:"limit"`
 }
 
@@ -253,8 +253,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			Capacity:      st.Ceiling,
 			Waiting:       st.Waiting,
 			QueueCapacity: st.MaxWait,
-			Saturated:     st.Running >= int(st.Limit) && st.Waiting >= st.MaxWait,
-			Limit:         st.Limit,
+			Saturated:     st.Running >= st.Ceiling && st.Waiting >= st.MaxWait,
+			Limit:         float64(st.Ceiling),
 		},
 	}
 	if len(s.breakers) > 0 {

@@ -281,8 +281,9 @@ func (s *Server) serveCached(ctx context.Context, endpoint, key string, eval fun
 				defer s.metrics.Inflight.Dec()
 				start := time.Now()
 				b, err := eval(ctx)
-				// Success-only latency feeds the adaptive limit: failures are
-				// the circuit breaker's signal, not a throughput one.
+				// Success-only latency feeds the queue drain estimate:
+				// failures are the circuit breaker's signal, not a
+				// throughput one.
 				s.admit.Observe(time.Since(start), err == nil)
 				if err != nil {
 					return flightResult{}, err
@@ -464,7 +465,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves GET /metrics in Prometheus text format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.CacheEntries.Set(int64(s.cache.Len()))
-	s.metrics.AdmissionLimit.Set(int64(s.admit.Stats().Limit))
 	if s.snap != nil {
 		s.metrics.SnapshotAgeSeconds.Set(s.snap.ageSeconds())
 	} else {

@@ -253,9 +253,6 @@ type Metrics struct {
 	DeadlineEvictions *Counter
 	// QuotaRejects counts requests rejected by a per-client quota.
 	QuotaRejects *Counter
-	// LimitChanges counts adaptive-limit moves by direction
-	// ("increase"/"decrease").
-	LimitChanges *LabeledCounter
 	// Degraded counts requests answered by the closed-form fallback
 	// instead of the full evaluator, by endpoint and reason
 	// ("breaker-open", "panic", "budget", "deadline", "internal").
@@ -266,7 +263,7 @@ type Metrics struct {
 	// CacheEntries is the current result-cache size; QueueDepth is the
 	// number of requests waiting for an evaluation slot; Inflight is the
 	// number of evaluations currently running; AdmissionLimit is the
-	// current adaptive concurrency limit.
+	// number of evaluation slots (the -concurrency ceiling).
 	CacheEntries   *Gauge
 	QueueDepth     *Gauge
 	Inflight       *Gauge
@@ -320,7 +317,6 @@ func NewMetrics() *Metrics {
 		QueueRejects:        &Counter{},
 		DeadlineEvictions:   &Counter{},
 		QuotaRejects:        &Counter{},
-		LimitChanges:        newLabeledCounter("direction"),
 		Degraded:            newLabeledCounter("endpoint", "reason"),
 		EvalPanics:          &Counter{},
 		CacheEntries:        &Gauge{},
@@ -474,9 +470,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "%s %d\n", c.name, c.c.Value())
 	}
 
-	writeHeader(w, "fsserve_admission_limit_changes_total", "counter", "Adaptive concurrency-limit moves, by direction.")
-	m.LimitChanges.write(w, "fsserve_admission_limit_changes_total")
-
 	writeHeader(w, "fsserve_degraded_total", "counter", "Requests answered by the closed-form fallback, by endpoint and reason.")
 	m.Degraded.write(w, "fsserve_degraded_total")
 
@@ -487,7 +480,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		{"fsserve_cache_entries", "Entries currently in the result cache.", m.CacheEntries},
 		{"fsserve_queue_depth", "Requests currently waiting for an evaluation slot.", m.QueueDepth},
 		{"fsserve_inflight_evaluations", "Model evaluations currently running.", m.Inflight},
-		{"fsserve_admission_limit", "Current adaptive concurrency limit (ceiling = -concurrency).", m.AdmissionLimit},
+		{"fsserve_admission_limit", "Evaluation slots (the -concurrency ceiling).", m.AdmissionLimit},
 		{"fsserve_snapshot_age_seconds", "Age of the newest on-disk cache snapshot (-1 until one exists).", m.SnapshotAgeSeconds},
 	} {
 		writeHeader(w, g.name, "gauge", g.help)

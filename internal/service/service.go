@@ -11,8 +11,8 @@
 //     responses for repeated requests;
 //   - in-flight deduplication (flight.go): N concurrent identical
 //     requests perform exactly one model evaluation;
-//   - admission control (internal/admission, used directly): a bounded,
-//     adaptive evaluation pool plus a bounded wait queue; beyond both,
+//   - admission control (internal/admission, used directly): a fixed
+//     pool of evaluation slots plus a bounded wait queue; beyond both,
 //     requests get 429 + Retry-After instead of queueing without bound;
 //   - hand-rolled Prometheus metrics (metrics.go) and structured request
 //     logs via log/slog;
@@ -218,10 +218,6 @@ func New(cfg Config) *Server {
 		MaxConcurrent: cfg.MaxConcurrent,
 		MaxQueue:      cfg.MaxQueue,
 		OnQueueDepth:  func(d int) { s.metrics.QueueDepth.Set(int64(d)) },
-		OnLimitChange: func(limit float64, direction string) {
-			s.metrics.AdmissionLimit.Set(int64(limit))
-			s.metrics.LimitChanges.With(direction).Inc()
-		},
 	})
 	s.metrics.AdmissionLimit.Set(int64(cfg.MaxConcurrent))
 	if cfg.QuotaRPS > 0 {

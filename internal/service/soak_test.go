@@ -41,16 +41,12 @@ func soakDuration() time.Duration {
 }
 
 // TestOverloadSoak drives the service at 4x its evaluation capacity
-// while every evaluation is artificially slow, then returns latency to
-// its baseline. It pins the adaptive-admission contract end to end:
+// while every evaluation is artificially slow. It pins the admission
+// contract end to end:
 //
-//   - the AIMD limit converges downward under sustained latency
-//     degradation (observable via the limit-change counters and the
-//     fsserve_admission_limit gauge) and recovers to the ceiling once
-//     latency returns to the baseline;
 //   - every response under overload is a 200 or a 429, every 429
 //     carries a Retry-After header, and the admitted p99 stays bounded
-//     (load-shedding keeps queues short instead of letting latency run
+//     (the bounded queue sheds load instead of letting latency run
 //     away);
 //   - nothing leaks: goroutines return to the pre-soak level.
 func TestOverloadSoak(t *testing.T) {
@@ -74,19 +70,17 @@ func TestOverloadSoak(t *testing.T) {
 	}
 
 	// Every phase pins the evaluation latency with an injected delay so
-	// the limiter's model sees controlled numbers instead of scheduler
-	// noise: baseline 10ms, overload 40ms (past the 2x degradation
-	// threshold), recovery back to 10ms — far enough below the threshold
-	// that contention jitter from parallel test packages cannot hold the
-	// limit down. The delay must fire inside the measured eval section
-	// (service.evaluate, not service.pool) to be observed.
+	// the drain estimate sees controlled numbers instead of scheduler
+	// noise: baseline 10ms, overload 40ms. The delay must fire inside the
+	// measured eval section (service.evaluate, not service.pool) to be
+	// observed.
 	const (
 		baseDelay     = 10 * time.Millisecond
 		overloadDelay = 40 * time.Millisecond
 	)
 	faultinject.Arm("service.evaluate", faultinject.Fault{Kind: faultinject.KindDelay, Delay: baseDelay, Probability: 1})
 
-	// Warm baseline: enough samples to land the first adaptation batches.
+	// Warm baseline: seeds the latency model behind the drain estimate.
 	for i := 0; i < 16; i++ {
 		if w := postNext(nil); w.Code != 200 {
 			t.Fatalf("warmup request = %d: %s", w.Code, w.Body.String())
@@ -140,41 +134,12 @@ func TestOverloadSoak(t *testing.T) {
 		t.Fatal("overload starved every request; admission is not serving")
 	}
 
-	m := s.Metrics()
-	decreases := m.LimitChanges.With("decrease").Value()
-	limitUnderLoad := s.admit.Stats().Limit
-	if decreases == 0 {
-		t.Errorf("no limit decreases under 10ms evaluations against a sub-ms baseline")
-	}
-	if limitUnderLoad >= ceiling {
-		t.Errorf("admission limit = %v under sustained degradation, want below the ceiling %d", limitUnderLoad, ceiling)
-	}
-	if g := m.AdmissionLimit.Value(); g != int64(limitUnderLoad) {
-		t.Errorf("fsserve_admission_limit gauge = %d, controller reports %v", g, limitUnderLoad)
-	}
-
-	// Bounded admitted tail: with the limit shed to the floor the queue
-	// stays short, so even the p99 admitted request clears in well under
-	// a second (40ms evaluations, <= 8 waiters).
+	// Bounded admitted tail: the bounded queue stays short, so even the
+	// p99 admitted request clears in well under a second (40ms
+	// evaluations, <= 8 waiters).
 	sort.Slice(admitted, func(i, j int) bool { return admitted[i] < admitted[j] })
 	if p99 := admitted[(len(admitted)*99)/100]; p99 > time.Second {
 		t.Errorf("admitted p99 = %v under overload, want bounded well under 1s", p99)
-	}
-
-	// Recovery: return evaluations to the baseline latency and keep
-	// feeding requests until the limit climbs back to the ceiling (the
-	// EWMA needs a few samples to decay, then one additive step per
-	// adaptation batch).
-	faultinject.Arm("service.evaluate", faultinject.Fault{Kind: faultinject.KindDelay, Delay: baseDelay, Probability: 1})
-	recoverBy := time.Now().Add(15 * time.Second)
-	for s.admit.Stats().Limit != ceiling && time.Now().Before(recoverBy) {
-		postNext(nil)
-	}
-	if got := s.admit.Stats().Limit; got != ceiling {
-		t.Errorf("limit = %v after recovery, want back at the ceiling %d", got, ceiling)
-	}
-	if m.LimitChanges.With("increase").Value() == 0 {
-		t.Error("no limit increases recorded during recovery")
 	}
 
 	if after := numGoroutineSettled(); after > before+5 {
